@@ -1,9 +1,13 @@
 """Event-log parsing and tumbling-window aggregation.
 
-The canonical input is a unified line-delimited stream of JSON records,
-one per proxy request: ``{"ts": <seconds>, "kind": "request"|"bind"}``.
-A ``bind`` line is a request that opened a directory connection, so it
+The input is a unified line-delimited stream of JSON records, one per
+proxy request: ``{"ts": <seconds>, "kind": "request"|"bind"}``.  A
+``bind`` line is a request that opened a directory connection, so it
 counts toward both the request total and the marked total.
+
+The canonical line is exactly what :meth:`Event.to_json` writes:
+``{"ts": <float repr>, "kind": "<kind>"}`` with that spacing and key
+order.  :func:`read_events` decodes it without ``json.loads``.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -55,12 +60,26 @@ class Event:
             raise ValueError(f"kind must be an EventKind, got {self.kind!r}")
         object.__setattr__(self, "ts", float(self.ts))
 
+    @classmethod
+    def _unchecked(cls, ts: float, kind: EventKind) -> Event:
+        """Build an event from a finite float ``ts >= 0`` without the checks.
+
+        Fills the frozen instance's ``__dict__`` as the generated
+        ``__init__`` would, so it must list the same fields as the class.
+        """
+        ev = object.__new__(cls)
+        fields = ev.__dict__
+        fields["ts"] = ts
+        fields["kind"] = kind
+        return ev
+
     @property
     def marked(self) -> bool:
         return self.kind is EventKind.BIND
 
     def to_json(self) -> str:
-        return json.dumps({"ts": self.ts, "kind": self.kind.value})
+        # the canonical line; read_events decodes it on its fast path
+        return '{"ts": %r, "kind": "%s"}' % (self.ts, self.kind.value)
 
 
 def parse_event(line: str, line_no: int = 0) -> Event:
@@ -93,15 +112,40 @@ def parse_event(line: str, line_no: int = 0) -> Event:
         raise ParseError(line_no, str(exc)) from exc
 
 
+# A canonical line: a non-negative JSON number (ASCII digits only, no
+# sign) and a known kind, followed by nothing but JSON whitespace.
+_CANONICAL_LINE = re.compile(
+    r'\{"ts": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
+    r'"kind": "(request|bind)"\}[ \t\n\r]*'
+)
+_KINDS = {kind.value: kind for kind in EventKind}
+
+
 def read_events(lines: Iterable[str]) -> Iterator[Event]:
     """Parse an iterable of log lines, skipping blank ones.
 
     Line numbers reported in errors are 1-based positions in the iterable.
+    Canonical lines take a fast path with the same result as
+    :func:`parse_event`; every other line goes through it.
     """
+    match = _CANONICAL_LINE.fullmatch
+    unchecked = Event._unchecked
+    kinds = _KINDS
+    inf = math.inf
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        yield parse_event(line, line_no)
+        try:
+            m = match(line)
+        except TypeError:  # bytes: leave the decoding to json.loads
+            m = None
+        if m is not None:
+            ts = float(m[1])
+            if ts < inf:
+                # the pattern admits only ts >= 0, so a finite match
+                # already passes Event's checks
+                yield unchecked(ts, kinds[m[2]])
+                continue
+        if line.strip():
+            yield parse_event(line, line_no)
 
 
 @dataclass(frozen=True)
@@ -242,18 +286,12 @@ def windowize(
         return
     anchor = first.ts
     max_ts = first.ts
-    counts: dict[int, list[int]] = {}
+    bind = EventKind.BIND
+    # window index -> [n_requests, n_marked]
+    counts: dict[int, list[int]] = {0: [1, int(first.kind is bind)]}
     next_emit = 0
-
-    def add(ev: Event) -> None:
-        idx = int((ev.ts - anchor) // window_s)
-        if idx < 0:
-            # stragglers inside the tolerance but ahead of the anchor
-            idx = 0
-        cell = counts.setdefault(idx, [0, 0])
-        cell[0] += 1
-        if ev.marked:
-            cell[1] += 1
+    # a window is safe to close once no in-tolerance event can reach it
+    close_at = anchor + window_s + tolerance_s
 
     def emit(idx: int) -> WindowStats:
         n_requests, n_marked = counts.pop(idx, (0, 0))
@@ -261,20 +299,29 @@ def windowize(
             anchor + idx * window_s, window_s, n_requests, n_marked, n_users
         )
 
-    add(first)
     for ev in it:
-        if ev.ts < max_ts - tolerance_s:
+        ts = ev.ts
+        if ts < max_ts - tolerance_s:
             raise SequencingError(
-                f"timestamp {ev.ts} regresses {max_ts - ev.ts:.6g}s behind the newest "
+                f"timestamp {ts} regresses {max_ts - ts:.6g}s behind the newest "
                 f"event at {max_ts}; tolerance is {tolerance_s:.6g}s"
             )
-        if ev.ts > max_ts:
-            max_ts = ev.ts
-        add(ev)
-        # a window is safe to close once no in-tolerance event can reach it
-        while anchor + (next_emit + 1) * window_s + tolerance_s <= max_ts:
-            yield emit(next_emit)
-            next_emit += 1
+        idx = int((ts - anchor) // window_s)
+        if idx < 0:
+            # stragglers inside the tolerance but ahead of the anchor
+            idx = 0
+        cell = counts.get(idx)
+        if cell is None:
+            cell = counts[idx] = [0, 0]
+        cell[0] += 1
+        if ev.kind is bind:
+            cell[1] += 1
+        if ts > max_ts:
+            max_ts = ts
+            while close_at <= max_ts:
+                yield emit(next_emit)
+                next_emit += 1
+                close_at = anchor + (next_emit + 1) * window_s + tolerance_s
     last_idx = int((max_ts - anchor) // window_s)
     while next_emit <= last_idx:
         yield emit(next_emit)

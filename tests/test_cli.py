@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -303,6 +305,64 @@ class TestTune:
     def test_bad_sink_descriptor_is_usage_error(self, capsys, event_log):
         code, _, _ = run_cli(capsys, *self.tune_args(event_log, "--sink", "carrier-pigeon"))
         assert code == 2
+
+
+class TestTuneIngestPaths:
+    TUNE_FLAGS = ["--users", "50", "--window", "600", "--eps", "0.1", "--delta", "1"]
+
+    def test_canonical_and_rewritten_logs_give_identical_output(self, capsys, event_log, tmp_path):
+        # gen-log writes canonical lines, which tune decodes on its fast path;
+        # compact separators and swapped keys send every line down the slow one
+        rewritten = tmp_path / "rewritten.jsonl"
+        with event_log.open() as src, rewritten.open("w") as dst:
+            for line in src:
+                record = json.loads(line)
+                dst.write(json.dumps({"kind": record["kind"], "ts": record["ts"]}, separators=(",", ":")) + "\n")
+        assert rewritten.read_text() != event_log.read_text()
+        code_fast, out_fast, _ = run_cli(capsys, "tune", str(event_log), *self.TUNE_FLAGS)
+        code_slow, out_slow, _ = run_cli(capsys, "tune", str(rewritten), *self.TUNE_FLAGS)
+        assert code_fast == code_slow == 0
+        assert len(stdout_records(out_fast)) > 10
+        assert out_fast == out_slow
+
+    def test_gen_log_golden_output(self, capsys):
+        # Pinned sha256 of gen-log output at one seed: a speed-up must leave
+        # the bytes as they are.  The log comes from numpy's Generator
+        # streams, which numpy does not promise to keep across versions.
+        code, log_text, _ = run_cli(
+            capsys,
+            "gen-log",
+            "--users", "50", "--beta", "0.01", "--xi", "0.3",
+            "--duration", "30000", "--seed", "11",
+        )
+        assert code == 0
+        assert hashlib.sha256(log_text.encode()).hexdigest() == (
+            "ac254dc5e4b7a99991b3ff13a6313ec2d418b04dce02b5a94314871998aebf14"
+        )
+
+    def test_tune_golden_output(self, capsys, tmp_path):
+        # Pinned sha256 of tune over a log written without numpy, so only
+        # ingest and the tuner can move it.
+        log = tmp_path / "golden.jsonl"
+        log.write_text(seeded_log(11, 1500))
+        code, out, _ = run_cli(capsys, "tune", str(log), *self.TUNE_FLAGS)
+        assert code == 0
+        assert len(stdout_records(out)) > 10
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "133709e2da7756003a0f4d771882dc1c7d411983ecfc16ad9edcd91b90c9ceaf"
+        )
+
+
+def seeded_log(seed: int, n_events: int) -> str:
+    """Canonical log lines drawn from Python's own seeded generator."""
+    rng = random.Random(seed)
+    ts = 0.0
+    lines = []
+    for _ in range(n_events):
+        ts += round(rng.random() * 40.0, 3)
+        kind = "bind" if rng.random() < 0.3 else "request"
+        lines.append('{"ts": %r, "kind": "%s"}\n' % (ts, kind))
+    return "".join(lines)
 
 
 class TestConfigFile:

@@ -1,8 +1,11 @@
+import contextlib
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idletune import (
@@ -18,6 +21,7 @@ from idletune import (
     window_stats,
     windowize,
 )
+from idletune import ingest
 
 
 def req(ts: float) -> Event:
@@ -73,6 +77,120 @@ class TestReadEvents:
         with pytest.raises(ParseError) as err:
             list(read_events(lines))
         assert err.value.line_no == 3
+
+
+@contextlib.contextmanager
+def counting_parse_event():
+    """Count the lines read_events hands to parse_event, its slow path."""
+    calls = []
+
+    def counted(line, line_no=0):
+        calls.append(line_no)
+        return parse_event(line, line_no)
+
+    with mock.patch.object(ingest, "parse_event", counted):
+        yield calls
+
+
+def outcome(call):
+    """Events (with the sign of ts) or the ParseError's message and line."""
+    try:
+        events = list(call())
+    except ParseError as exc:
+        return ("error", str(exc), exc.line_no)
+    return [(repr(ev.ts), ev.kind) for ev in events]
+
+
+class TestCanonicalFastPath:
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                    st.integers(min_value=0, max_value=10**300),
+                ),
+                st.sampled_from(EventKind),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @example([(0.0, EventKind.REQUEST), (5e-324, EventKind.BIND), (1e308, EventKind.REQUEST)])
+    @example([(7, EventKind.BIND), (1e16, EventKind.REQUEST), (2.5e-7, EventKind.BIND)])
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_and_compact_lines_agree(self, records):
+        canonical = ['{"ts": %r, "kind": "%s"}\n' % (ts, kind.value) for ts, kind in records]
+        compact = [
+            json.dumps({"ts": ts, "kind": kind.value}, separators=(",", ":")) + "\n"
+            for ts, kind in records
+        ]
+        expected = [Event(ts, kind) for ts, kind in records]
+        with counting_parse_event() as slow:
+            fast_events = list(read_events(canonical))
+            assert slow == []
+            slow_events = list(read_events(compact))
+            assert slow == list(range(1, len(records) + 1))
+        assert fast_events == slow_events == expected
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"ts": 1e999, "kind": "request"}',
+            '{"ts": 1E999, "kind": "bind"}\n',
+            '{"ts": -0.0, "kind": "bind"}',
+            '{"ts": -1.0, "kind": "request"}',
+            '{"ts": 01, "kind": "request"}',
+            '{"ts": 1., "kind": "request"}',
+            '{"ts": .5, "kind": "request"}',
+            '{"ts": 1E5, "kind": "bind"}',
+            '{"ts": 1e+5, "kind": "request"}',
+            '{"ts": 1e-400, "kind": "request"}',
+            '{"ts": 12345678901234567890123, "kind": "bind"}',
+            '{"ts": 1.5, "kind": "request"}\r\n',
+            '{"ts": 1.5, "kind": "request"}  \t \n',
+            '{"ts": 1.5, "kind": "request"}\f',
+            '{"ts": 1.5, "kind": "request"}}',
+            ' {"ts": 1.5, "kind": "request"}',
+            '{"ts":1.5,"kind":"request"}',
+            '{"kind": "bind", "ts": 1.5}',
+            '{"ts": 1.0, "kind": "bind", "ts": 2.0}',
+            '{"ts": 1.0, "ts": 2.0, "kind": "bind"}',
+            '{"ts": 1.0, "kind": "bind", "kind": "request"}',
+            '{"ts": 1.0, "kind": "bind", "user": "u17"}',
+            '{"ts": 1.0, "kind": "Bind"}',
+            '{"ts": 1.0, "kind": "search"}',
+            '{"ts": 1_000, "kind": "request"}',
+            '{"ts": \u0661, "kind": "request"}',
+            '{"ts": 1\u0661, "kind": "request"}',
+            '{"ts": 1.\u0661, "kind": "request"}',
+            '{"ts": 1e\u0661, "kind": "request"}',
+            '{"ts": "1.0", "kind": "request"}',
+        ],
+    )
+    def test_edge_lines_match_parse_event(self, line):
+        lines = ['{"ts": 0.5, "kind": "request"}', "", line]
+        expected = outcome(lambda: [parse_event(lines[0], 1), parse_event(line, 3)])
+        assert outcome(lambda: read_events(lines)) == expected
+
+    def test_bytes_lines_take_the_slow_path(self):
+        lines = [b'{"ts": 1.0, "kind": "bind"}\n', b"  \n", b'{"ts": 2, "kind": "request"}']
+        assert list(read_events(lines)) == [bind(1.0), req(2.0)]
+
+    def test_unchecked_event_equals_the_checked_one(self):
+        # Event._unchecked fills __dict__ by hand, so it must track the fields
+        assert [f.name for f in dataclasses.fields(Event)] == ["ts", "kind"]
+        fast = Event._unchecked(2.5, EventKind.BIND)
+        assert fast == bind(2.5)
+        assert hash(fast) == hash(bind(2.5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.ts = 1.0
+
+    def test_to_json_writes_the_canonical_line(self):
+        for event in (bind(12345.6789012345), req(1e-05), req(1e16), bind(0.0)):
+            assert event.to_json() == json.dumps({"ts": event.ts, "kind": event.kind.value})
+            with counting_parse_event() as slow:
+                assert list(read_events([event.to_json()])) == [event]
+            assert slow == []
 
 
 class TestEvent:

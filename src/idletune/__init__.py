@@ -31,12 +31,12 @@ from .estimator import (
     update,
 )
 from .ingest import (
+    REORDER_TOLERANCE_S,
     Event,
     EventKind,
     WindowStats,
     parse_event,
     read_events,
-    window_stats,
     windowize,
 )
 from .model import (
@@ -44,7 +44,6 @@ from .model import (
     ModelParams,
     SolverPolicy,
     TimeoutSolution,
-    birth_rate,
     failure_probability,
     feasibility_bound,
     solve_timeout,
@@ -75,19 +74,18 @@ __all__ = [
     "Expression",
     "SolverPolicy",
     "TimeoutSolution",
-    "birth_rate",
     "state_probability",
     "failure_probability",
     "feasibility_bound",
     "solve_timeout_exact",
     "solve_timeout_large_n",
     "solve_timeout",
+    "REORDER_TOLERANCE_S",
     "Event",
     "EventKind",
     "WindowStats",
     "parse_event",
     "read_events",
-    "window_stats",
     "windowize",
     "ScheduleKind",
     "StepSchedule",

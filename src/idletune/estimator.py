@@ -229,18 +229,8 @@ class TunerRecord:
     published: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iteration": self.iteration,
-                "window_end_ts": self.window_end_ts,
-                "chi": self.chi,
-                "theta": self.theta,
-                "xi_hat": self.xi_hat,
-                "beta_hat": self.beta_hat,
-                "timeout_s": self.timeout_s,
-                "published": self.published,
-            }
-        )
+        # vars(self) would give every record a __dict__ for as long as it is kept
+        return json.dumps({name: getattr(self, name) for name in self.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -297,21 +287,9 @@ def run_tuner(
                 config.target_eps,
                 exc.bound,
             )
-            records.append(
-                TunerRecord(
-                    iteration=state.iteration,
-                    window_end_ts=window.window_end_ts,
-                    chi=window.chi,
-                    theta=window.theta,
-                    xi_hat=state.xi_hat,
-                    beta_hat=state.beta_hat,
-                    timeout_s=None,
-                    published=False,
-                )
-            )
-            continue
+            solution = None
         published = False
-        if should_publish(state, solution.timeout_s, config.publish_delta_s):
+        if solution is not None and should_publish(state, solution.timeout_s, config.publish_delta_s):
             if sink is None:
                 published = True
             else:
@@ -339,7 +317,7 @@ def run_tuner(
                 theta=window.theta,
                 xi_hat=state.xi_hat,
                 beta_hat=state.beta_hat,
-                timeout_s=solution.timeout_s,
+                timeout_s=None if solution is None else solution.timeout_s,
                 published=published,
             )
         )

@@ -29,7 +29,6 @@ __all__ = [
     "parse_event",
     "read_events",
     "WindowStats",
-    "window_stats",
     "windowize",
 ]
 
@@ -72,10 +71,6 @@ class Event:
         fields["ts"] = ts
         fields["kind"] = kind
         return ev
-
-    @property
-    def marked(self) -> bool:
-        return self.kind is EventKind.BIND
 
     def to_json(self) -> str:
         # the canonical line; read_events decodes it on its fast path
@@ -210,51 +205,7 @@ class WindowStats:
         return self.window_start_ts + self.window_s
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "window_start_ts": self.window_start_ts,
-                "window_s": self.window_s,
-                "n_requests": self.n_requests,
-                "n_marked": self.n_marked,
-                "chi": self.chi,
-                "theta": self.theta,
-                "zero_traffic": self.zero_traffic,
-            }
-        )
-
-
-def window_stats(
-    events: Iterable[Event],
-    window_s: float,
-    n_users: int,
-    window_start_ts: float,
-) -> WindowStats:
-    """Count one pre-sliced window.
-
-    Every event must fall inside [window_start_ts, window_start_ts +
-    window_s) and arrive in nondecreasing time order; violations raise
-    :class:`SequencingError`.
-    """
-    if window_s <= 0.0:
-        raise ValueError(f"window_s must be positive, got {window_s!r}")
-    end = window_start_ts + window_s
-    n_requests = 0
-    n_marked = 0
-    prev_ts = -math.inf
-    for ev in events:
-        if ev.ts < prev_ts:
-            raise SequencingError(
-                f"event at {ev.ts} arrives after one at {prev_ts}; input must be time-ordered"
-            )
-        if not window_start_ts <= ev.ts < end:
-            raise SequencingError(
-                f"event at {ev.ts} outside window [{window_start_ts}, {end})"
-            )
-        prev_ts = ev.ts
-        n_requests += 1
-        if ev.marked:
-            n_marked += 1
-    return WindowStats.from_counts(window_start_ts, window_s, n_requests, n_marked, n_users)
+        return json.dumps({name: getattr(self, name) for name in self.__dataclass_fields__})
 
 
 def windowize(
@@ -271,7 +222,9 @@ def windowize(
     only once the newest timestamp seen is past its end by more than the
     reorder tolerance, so late events inside the tolerance still land in
     their proper window; events older than that raise
-    :class:`SequencingError`.
+    :class:`SequencingError`.  No event is dropped: one whose timestamp
+    rounds into a window already released is counted in the oldest open
+    window.
     """
     if window_s <= 0.0 or not math.isfinite(window_s):
         raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
@@ -307,9 +260,10 @@ def windowize(
                 f"event at {max_ts}; tolerance is {tolerance_s:.6g}s"
             )
         idx = int((ts - anchor) // window_s)
-        if idx < 0:
-            # stragglers inside the tolerance but ahead of the anchor
-            idx = 0
+        if idx < next_emit:
+            # a straggler ahead of the anchor, or a boundary timestamp that
+            # rounds into a window the close test has already released
+            idx = next_emit
         cell = counts.get(idx)
         if cell is None:
             cell = counts[idx] = [0, 0]
@@ -323,6 +277,6 @@ def windowize(
                 next_emit += 1
                 close_at = anchor + (next_emit + 1) * window_s + tolerance_s
     last_idx = int((max_ts - anchor) // window_s)
-    while next_emit <= last_idx:
+    while next_emit <= last_idx or counts:
         yield emit(next_emit)
         next_emit += 1

@@ -25,7 +25,6 @@ __all__ = [
     "Expression",
     "SolverPolicy",
     "TimeoutSolution",
-    "birth_rate",
     "state_probability",
     "failure_probability",
     "feasibility_bound",
@@ -126,17 +125,6 @@ def _check_state_index(params: ModelParams, k: int) -> None:
         raise ValueError(f"state index must be an integer, got {k!r}")
     if not 0 <= k <= params.n_users:
         raise ValueError(f"state index {k} outside chain [0, {params.n_users}]")
-
-
-def birth_rate(params: ModelParams, k: int) -> float:
-    """Rate at which the observed request count leaves state ``k``.
-
-    With ``k`` of the users already observed, the remaining ``n_users - k``
-    idle users each fire at rate ``beta``, so the count advances at
-    ``(n_users - k) * beta``.  The full-population state is absorbing.
-    """
-    _check_state_index(params, k)
-    return (params.n_users - k) * params.beta
 
 
 def state_probability(params: ModelParams, k: int, t: float) -> float:

@@ -66,15 +66,7 @@ class SimResult:
         return cls(trials=trials, failures=failures, p_hat=p_hat, std_err=std_err, seed=seed)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trials": self.trials,
-                "failures": self.failures,
-                "p_hat": self.p_hat,
-                "std_err": self.std_err,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps({name: getattr(self, name) for name in self.__dataclass_fields__})
 
 
 def simulate_failure_prob(
@@ -117,6 +109,7 @@ class SystemConfig:
     is the request count after which a process respawns with a fresh
     connection; None means processes never respawn.  idle_timeout_s 0
     encodes "never drop", following the directory server's convention.
+    n_users, beta and xi are checked as :class:`ModelParams` checks them.
     """
 
     n_users: int
@@ -128,12 +121,7 @@ class SystemConfig:
     process_life: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"xi must lie in [0, 1], got {self.xi!r}")
+        ModelParams(self.n_users, self.beta, self.xi)
         if self.n_processes < 1:
             raise ValueError(f"n_processes must be >= 1, got {self.n_processes}")
         if self.process_life is not None and self.process_life < 1:
@@ -165,19 +153,7 @@ class SystemReport:
             )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total_requests": self.total_requests,
-                "marked_requests": self.marked_requests,
-                "failed_binds": self.failed_binds,
-                "failure_rate": self.failure_rate,
-                "no_marked": self.no_marked,
-                "idle_gap_min_s": self.idle_gap_min_s,
-                "idle_gap_median_s": self.idle_gap_median_s,
-                "idle_gap_max_s": self.idle_gap_max_s,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps({name: getattr(self, name) for name in self.__dataclass_fields__})
 
 
 def _arrival_batches(rng: np.random.Generator, rate: float, duration_s: float) -> Iterator[np.ndarray]:
@@ -279,4 +255,5 @@ def generate_event_log(params: ModelParams, duration_s: float, seed: int) -> Ite
         marks = rng_marks.random(size=n) < params.xi
         for i in range(n):
             kind = EventKind.BIND if marks[i] else EventKind.REQUEST
-            yield Event(float(times[i]), kind)
+            # numpy's arrival times are already finite and >= 0
+            yield Event._unchecked(float(times[i]), kind)

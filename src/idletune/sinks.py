@@ -8,8 +8,10 @@ window publishes a fresh value anyway.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import sys
 import urllib.error
 import urllib.parse
@@ -27,6 +29,8 @@ __all__ = [
 ]
 
 WEBHOOK_TIMEOUT_S = 10.0
+# nsslapd-idletimeout is a signed 32-bit count of seconds
+MAX_IDLETIMEOUT_S = 2**31 - 1
 
 
 def _payload(timeout_s: float, meta: Mapping[str, object] | None) -> dict:
@@ -68,10 +72,11 @@ class FileSink:
 class LdifSink:
     """Write a directory-modify snippet holding the latest recommendation.
 
-    The file is overwritten on each publish: it represents the current
-    desired configuration, not a history.  The timeout is rounded up to
-    whole seconds, which can only lower the realized failure probability
-    below the target.
+    The file is replaced on each publish: it represents the current
+    desired configuration, not a history.  The snippet is written to
+    ``PATH.tmp`` and renamed over ``PATH``, so no reader sees a partial
+    file.  The timeout is rounded up to whole seconds, which can only
+    lower the realized failure probability below the target.
     """
 
     def __init__(self, path: str):
@@ -79,8 +84,8 @@ class LdifSink:
 
     @staticmethod
     def render(timeout_s: float) -> str:
-        if not timeout_s > 0.0:
-            raise SinkError(f"cannot render nonpositive timeout {timeout_s!r}")
+        if not 0.0 < timeout_s <= MAX_IDLETIMEOUT_S:
+            raise SinkError(f"timeout {timeout_s!r} s is outside (0, {MAX_IDLETIMEOUT_S}]")
         seconds = math.ceil(timeout_s)
         return (
             "dn: cn=config\n"
@@ -91,10 +96,14 @@ class LdifSink:
 
     def publish(self, timeout_s: float, meta: Mapping[str, object] | None = None) -> None:
         content = self.render(timeout_s)
+        tmp_path = f"{self.path}.tmp"
         try:
-            with open(self.path, "w", encoding="utf-8") as handle:
+            with open(tmp_path, "w", encoding="utf-8") as handle:
                 handle.write(content)
+            os.replace(tmp_path, self.path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp_path)
             raise SinkError(f"ldif sink {self.path!r}: {exc}") from exc
 
 

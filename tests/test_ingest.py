@@ -18,7 +18,6 @@ from idletune import (
     generate_event_log,
     parse_event,
     read_events,
-    window_stats,
     windowize,
 )
 from idletune import ingest
@@ -205,33 +204,6 @@ class TestEvent:
 
 
 class TestWindowStats:
-    def test_direct_counting(self):
-        events = [bind(float(i)) if i < 27 else req(float(i)) for i in range(100)]
-        stats = window_stats(events, 600.0, 50, 0.0)
-        assert stats.n_requests == 100
-        assert stats.n_marked == 27
-        assert stats.chi == pytest.approx(0.27)
-        assert stats.theta == pytest.approx(100 / (50 * 600.0))
-        assert not stats.zero_traffic
-
-    def test_empty_window(self):
-        stats = window_stats([], 600.0, 50, 0.0)
-        assert stats.zero_traffic
-        assert stats.chi == 0.0
-        assert stats.theta == 0.0
-
-    def test_all_marked(self):
-        stats = window_stats([bind(1.0), bind(2.0)], 600.0, 50, 0.0)
-        assert stats.chi == 1.0
-
-    def test_out_of_window_event(self):
-        with pytest.raises(SequencingError):
-            window_stats([req(601.0)], 600.0, 50, 0.0)
-
-    def test_unsorted_input(self):
-        with pytest.raises(SequencingError):
-            window_stats([req(5.0), req(4.0)], 600.0, 50, 0.0)
-
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             WindowStats(0.0, 600.0, 1, 2, 1.0, 0.1, False)
@@ -241,7 +213,7 @@ class TestWindowStats:
             WindowStats(0.0, -1.0, 0, 0, 0.0, 0.0, True)
 
     def test_serialization_keys(self):
-        stats = window_stats([req(1.0)], 600.0, 50, 0.0)
+        stats = WindowStats.from_counts(0.0, 600.0, 1, 0, 50)
         record = json.loads(stats.to_json())
         assert list(record) == [
             "window_start_ts",
@@ -318,7 +290,21 @@ class TestWindowize:
         events = [bind(ts) if marked else req(ts) for ts, marked in raw]
         wins = list(windowize(events, window_s, 25))
         assert sum(w.n_requests for w in wins) == len(events)
-        assert sum(w.n_marked for w in wins) == sum(1 for e in events if e.marked)
+        assert sum(w.n_marked for w in wins) == sum(1 for e in events if e.kind is EventKind.BIND)
+
+    @pytest.mark.parametrize(
+        "events, window_s, tolerance_s",
+        [
+            # the last event's index rounds down into a window that the
+            # close test, rounding the other way, has already released
+            ([req(0.3), req(12.6), bind(12.6)], 0.3, 0.0),
+            ([req(0.0), req(6.5), bind(5.5)], 1.1, ingest.REORDER_TOLERANCE_S),
+        ],
+    )
+    def test_event_in_released_window_is_kept(self, events, window_s, tolerance_s):
+        wins = list(windowize(events, window_s, 25, tolerance_s=tolerance_s))
+        assert sum(w.n_requests for w in wins) == len(events)
+        assert sum(w.n_marked for w in wins) == sum(1 for e in events if e.kind is EventKind.BIND)
 
     def test_pooled_chi_is_count_weighted(self):
         # one busy window (1000 requests, 100 binds) and one sparse (2, 2):

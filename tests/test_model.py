@@ -10,7 +10,6 @@ from idletune import (
     ModelParams,
     SolverPolicy,
     TimeoutSolution,
-    birth_rate,
     failure_probability,
     feasibility_bound,
     solve_timeout,
@@ -54,22 +53,6 @@ class TestModelParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
-
-
-class TestBirthRate:
-    def test_absorbing_final_state(self):
-        assert birth_rate(POOL_N800, 800) == 0.0
-
-    def test_full_population_waiting(self):
-        assert birth_rate(POOL_N800, 0) == pytest.approx(0.664, rel=1e-12)
-
-    def test_partial_population(self):
-        assert birth_rate(POOL_N150, 50) == pytest.approx(0.139, rel=1e-12)
-
-    @pytest.mark.parametrize("k", [-1, 801, 10_000])
-    def test_out_of_chain_index(self, k):
-        with pytest.raises(ValueError):
-            birth_rate(POOL_N800, k)
 
 
 class TestStateProbability:

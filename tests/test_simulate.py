@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from idletune import (
+    EventKind,
     ModelParams,
     SimResult,
     SystemConfig,
@@ -189,6 +190,7 @@ class TestSimulateSystem:
         "kwargs",
         [
             dict(n_users=0),
+            dict(n_users=150.5),
             dict(beta=0.0),
             dict(xi=1.5),
             dict(n_processes=0),
@@ -222,7 +224,7 @@ class TestGenerateEventLog:
         events = list(generate_event_log(params, 1.0e6, seed=21))
         n = len(events)
         assert n == pytest.approx(5.0e4, rel=0.05)
-        chi = sum(1 for e in events if e.marked) / n
+        chi = sum(1 for e in events if e.kind is EventKind.BIND) / n
         assert abs(chi - 0.3) <= 4 * math.sqrt(0.3 * 0.7 / n)
 
     def test_tiny_duration_may_be_empty(self):

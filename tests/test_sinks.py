@@ -1,7 +1,9 @@
 import http.server
 import io
 import json
+import math
 import threading
+from unittest import mock
 
 import pytest
 
@@ -49,7 +51,7 @@ class TestLdifSink:
             "nsslapd-idletimeout: 88\n"
         )
 
-    @pytest.mark.parametrize("timeout,rendered", [(87.03, 88), (60.0, 60), (0.0065, 1)])
+    @pytest.mark.parametrize("timeout,rendered", [(87.03, 88), (60.0, 60), (0.0065, 1), (2**31 - 1, 2**31 - 1)])
     def test_rounds_up_to_whole_seconds(self, timeout, rendered):
         assert f"nsslapd-idletimeout: {rendered}\n" in LdifSink.render(timeout)
 
@@ -73,6 +75,22 @@ class TestLdifSink:
     def test_rejects_nonpositive_timeout(self, tmp_path):
         with pytest.raises(SinkError):
             LdifSink(str(tmp_path / "x.ldif")).publish(0.0)
+
+    @pytest.mark.parametrize("timeout", [2**31, math.inf])
+    def test_rejects_timeout_above_setting_range(self, timeout):
+        with pytest.raises(SinkError):
+            LdifSink.render(timeout)
+
+    def test_failed_publish_keeps_previous_snippet(self, tmp_path):
+        path = tmp_path / "update.ldif"
+        sink = LdifSink(str(path))
+        sink.publish(87.03)
+        before = path.read_bytes()
+        with mock.patch("os.replace", side_effect=OSError("disk full")):
+            with pytest.raises(SinkError):
+                sink.publish(16.4)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["update.ldif"]
 
 
 class _RecordingHandler(http.server.BaseHTTPRequestHandler):

@@ -22,6 +22,7 @@ import contextlib
 import json
 import logging
 import os
+import stat
 import sys
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -32,7 +33,7 @@ from .errors import (
     SequencingError,
     SinkError,
 )
-from .estimator import StepSchedule, TunerConfig, run_tuner
+from .estimator import StepSchedule, TunerConfig, TunerRecord, run_tuner
 from .ingest import WindowStats, read_events, windowize
 from .model import (
     DEFAULT_LARGE_N_THRESHOLD,
@@ -250,6 +251,14 @@ def _tee_windows(windows: Iterable[WindowStats], handle: IO[str]) -> Iterator[Wi
         yield window
 
 
+def _is_regular_file(stream) -> bool:
+    try:
+        return stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+    except (OSError, ValueError):
+        # no usable file descriptor: treat it as live
+        return False
+
+
 def _cmd_tune(args: argparse.Namespace, config: dict) -> int:
     tuner_config = TunerConfig(
         window_s=_as_float("--window", _setting(args, config, "window", DEFAULT_WINDOW_S)),
@@ -266,11 +275,19 @@ def _cmd_tune(args: argparse.Namespace, config: dict) -> int:
             lines: Iterable[str] = sys.stdin
         else:
             lines = stack.enter_context(open(args.input, encoding="utf-8"))
+        # a regular file is read to its end as one batch; anything else may be
+        # a live feed, whose records must not wait in stdout's buffer
+        live = not _is_regular_file(lines)
+
+        def write_record(record: TunerRecord) -> None:
+            sys.stdout.write(record.to_json() + "\n")
+            if live:
+                sys.stdout.flush()
+
         windows = windowize(read_events(lines), tuner_config.window_s, tuner_config.n_users)
         if windows_out is not None:
             windows = _tee_windows(windows, stack.enter_context(open(windows_out, "w", encoding="utf-8")))
-        report = run_tuner(windows, tuner_config, sink)
-    sys.stdout.write(report.to_jsonl())
+        report = run_tuner(windows, tuner_config, sink, on_record=write_record)
     state = report.final_state
     print(
         f"{len(report.records)} iterations, {report.skipped_windows} empty windows skipped, "

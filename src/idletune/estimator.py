@@ -17,11 +17,11 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, Protocol
 
 from .errors import CannotInitializeError, InfeasibleTargetError, SinkError
 from .ingest import WindowStats
-from .model import ModelParams, SolverPolicy, TimeoutSolution, solve_timeout
+from .model import ModelParams, SolverPolicy, TimeoutSolution, _check_n_users, solve_timeout
 
 __all__ = [
     "ScheduleKind",
@@ -140,8 +140,7 @@ class TunerConfig:
             raise ValueError(f"window_s must be positive, got {self.window_s!r}")
         if not 0.0 < self.target_eps < 1.0:
             raise ValueError(f"target_eps must lie in (0, 1), got {self.target_eps!r}")
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
+        _check_n_users(self.n_users)
         if not self.publish_delta_s >= 0.0:
             raise ValueError(f"publish_delta_s must be >= 0, got {self.publish_delta_s!r}")
 
@@ -244,14 +243,12 @@ class TunerReport:
     def n_published(self) -> int:
         return sum(1 for record in self.records if record.published)
 
-    def to_jsonl(self) -> str:
-        return "".join(record.to_json() + "\n" for record in self.records)
-
 
 def run_tuner(
     windows: Iterable[WindowStats],
     config: TunerConfig,
     sink: PublishTarget | None = None,
+    on_record: Callable[[TunerRecord], object] | None = None,
 ) -> TunerReport:
     """Drive the estimate/recommend/publish loop over a window stream.
 
@@ -262,6 +259,10 @@ def run_tuner(
     likewise non-fatal: the publish gate stays open (the last published
     value is unchanged), so the next window retries.  With no sink the
     loop records what it would have published.
+
+    ``on_record``, if given, is called with each record as soon as it is
+    made, before the next window is pulled from ``windows``, so a caller
+    can emit records while a live stream is still being read.
     """
     state: EstimatorState | None = None
     records: list[TunerRecord] = []
@@ -309,18 +310,19 @@ def run_tuner(
                     logger.error("publish failed at iteration %d: %s", state.iteration, exc)
             if published:
                 state = replace(state, last_published_timeout_s=solution.timeout_s)
-        records.append(
-            TunerRecord(
-                iteration=state.iteration,
-                window_end_ts=window.window_end_ts,
-                chi=window.chi,
-                theta=window.theta,
-                xi_hat=state.xi_hat,
-                beta_hat=state.beta_hat,
-                timeout_s=None if solution is None else solution.timeout_s,
-                published=published,
-            )
+        record = TunerRecord(
+            iteration=state.iteration,
+            window_end_ts=window.window_end_ts,
+            chi=window.chi,
+            theta=window.theta,
+            xi_hat=state.xi_hat,
+            beta_hat=state.beta_hat,
+            timeout_s=None if solution is None else solution.timeout_s,
+            published=published,
         )
+        records.append(record)
+        if on_record is not None:
+            on_record(record)
     if state is None:
         raise CannotInitializeError("window stream contained no traffic")
     return TunerReport(

@@ -21,6 +21,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import ParseError, SequencingError
+from .model import _check_n_users
 
 __all__ = [
     "REORDER_TOLERANCE_S",
@@ -186,8 +187,7 @@ class WindowStats:
         n_marked: int,
         n_users: int,
     ) -> "WindowStats":
-        if n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {n_users}")
+        _check_n_users(n_users)
         chi = n_marked / n_requests if n_requests else 0.0
         theta = n_requests / (n_users * window_s)
         return cls(
@@ -228,8 +228,7 @@ def windowize(
     """
     if window_s <= 0.0 or not math.isfinite(window_s):
         raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users}")
+    _check_n_users(n_users)
     if tolerance_s < 0.0:
         raise ValueError(f"tolerance_s must be >= 0, got {tolerance_s!r}")
 

@@ -38,6 +38,14 @@ __all__ = [
 DEFAULT_LARGE_N_THRESHOLD = 500
 
 
+def _check_n_users(n_users: int) -> None:
+    """Raise ValueError unless n_users is an integer >= 1 (bool is not)."""
+    if isinstance(n_users, bool) or not isinstance(n_users, numbers.Integral):
+        raise ValueError(f"n_users must be an integer, got {n_users!r}")
+    if n_users < 1:
+        raise ValueError(f"n_users must be >= 1, got {n_users}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Population, activity, and marking parameters.
@@ -56,10 +64,7 @@ class ModelParams:
     xi: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_users, bool) or not isinstance(self.n_users, numbers.Integral):
-            raise ValueError(f"n_users must be an integer, got {self.n_users!r}")
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
+        _check_n_users(self.n_users)
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
         if not 0.0 <= self.xi <= 1.0:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import select
 import subprocess
 import sys
 
@@ -247,6 +248,12 @@ class TestTune:
         events = [r for r in stdout_records(out) if r.get("event") == "publish"]
         assert len(events) >= 1
         assert all("timeout_s" in r for r in events)
+        # each publish line comes just before the record of the window that published it
+        lines = stdout_records(out)
+        for publish, record in zip(lines, lines[1:]):
+            if publish.get("event") == "publish":
+                assert record["published"] is True
+                assert record["window_end_ts"] == publish["window_end_ts"]
 
     def test_huge_delta_publishes_once(self, capsys, event_log):
         code, out, _ = run_cli(capsys, *self.tune_args(event_log, "--delta", "1e9"))
@@ -306,6 +313,33 @@ class TestTune:
         code, _, _ = run_cli(capsys, *self.tune_args(event_log, "--sink", "carrier-pigeon"))
         assert code == 2
 
+    def test_records_stream_before_a_piped_input_ends(self, tmp_path):
+        # a live feed: the first window's record must arrive while stdin is open
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "idletune.cli", "tune", "-", "--users", "50", "--window", "600",
+             "--sink", f"ldif:{tmp_path / 'update.ldif'}"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            for i in range(20):
+                kind = "bind" if i % 3 == 0 else "request"
+                proc.stdin.write('{"ts": %r, "kind": "%s"}\n' % (100.0 * i, kind))
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+            assert ready, "no record within 10 s while the input was still open"
+            record = json.loads(proc.stdout.readline())
+            assert record["iteration"] == 0
+            proc.stdin.close()
+            assert proc.wait(timeout=10.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
 
 class TestTuneIngestPaths:
     TUNE_FLAGS = ["--users", "50", "--window", "600", "--eps", "0.1", "--delta", "1"]
@@ -342,14 +376,25 @@ class TestTuneIngestPaths:
 
     def test_tune_golden_output(self, capsys, tmp_path):
         # Pinned sha256 of tune over a log written without numpy, so only
-        # ingest and the tuner can move it.
+        # ingest and the tuner can move it: of the records alone, of the
+        # stdout-sink publish lines alone, and of the whole stdout, where
+        # each publish line comes just before the record of its window.
         log = tmp_path / "golden.jsonl"
         log.write_text(seeded_log(11, 1500))
         code, out, _ = run_cli(capsys, "tune", str(log), *self.TUNE_FLAGS)
         assert code == 0
-        assert len(stdout_records(out)) > 10
+        lines = out.splitlines(keepends=True)
+        records = "".join(line for line in lines if not line.startswith('{"event": "publish"'))
+        publishes = "".join(line for line in lines if line.startswith('{"event": "publish"'))
+        assert len(stdout_records(records)) > 10
+        assert hashlib.sha256(records.encode()).hexdigest() == (
+            "bd2b42808dc46350bfbabb9f8f3fcbf1bcb85b97f258412faa89ebddc6850716"
+        )
+        assert hashlib.sha256(publishes.encode()).hexdigest() == (
+            "ff043333d1333444258a022f67ac8d36fae1446741183055543fae7aeb92b58f"
+        )
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "133709e2da7756003a0f4d771882dc1c7d411983ecfc16ad9edcd91b90c9ceaf"
+            "18fb4aaff5e47797988a7640215706fc1403f3e735790868b742675a7ba37ad4"
         )
 
 

@@ -292,11 +292,13 @@ class TestRunTuner:
         a = run_tuner(list(windows), self.config())
         b = run_tuner(list(windows), self.config())
         assert a == b
-        assert a.to_jsonl() == b.to_jsonl()
+        assert "".join(r.to_json() + "\n" for r in a.records) == "".join(
+            r.to_json() + "\n" for r in b.records
+        )
 
     def test_report_line_schema(self):
         report = run_tuner([window(chi=0.3, theta=0.01)], self.config())
-        record = json.loads(report.to_jsonl().splitlines()[0])
+        record = json.loads("".join(r.to_json() + "\n" for r in report.records).splitlines()[0])
         assert list(record) == [
             "iteration",
             "window_end_ts",
@@ -307,6 +309,27 @@ class TestRunTuner:
             "timeout_s",
             "published",
         ]
+
+    def test_each_record_is_handed_over_before_the_next_window_is_pulled(self):
+        windows = [
+            window(chi=0.3, theta=0.01, start=0.0),
+            empty_window(start=1000.0),
+            window(chi=0.5, theta=0.01, start=2000.0),
+            window(chi=0.4, theta=0.02, start=3000.0),
+        ]
+        seen: list = []
+
+        def stream():
+            nonempty = 0
+            for w in windows:
+                assert len(seen) == nonempty
+                yield w
+                nonempty += w.n_requests > 0
+            assert len(seen) == nonempty
+
+        report = run_tuner(stream(), self.config(), on_record=seen.append)
+        assert tuple(seen) == report.records
+        assert len(seen) == 3
 
     def test_converges_on_synthetic_constant_traffic(self):
         rng = np.random.default_rng(99)
@@ -334,6 +357,8 @@ class TestConfigValidation:
             dict(window_s=600.0, target_eps=0.0, n_users=10),
             dict(window_s=600.0, target_eps=1.0, n_users=10),
             dict(window_s=600.0, target_eps=0.1, n_users=0),
+            dict(window_s=600.0, target_eps=0.1, n_users=150.5),
+            dict(window_s=600.0, target_eps=0.1, n_users=True),
             dict(window_s=600.0, target_eps=0.1, n_users=10, publish_delta_s=-1.0),
         ],
     )

@@ -272,6 +272,8 @@ class TestWindowize:
             list(windowize([req(0.0)], 0.0, 10))
         with pytest.raises(ValueError):
             list(windowize([req(0.0)], 600.0, 0))
+        with pytest.raises(ValueError):
+            list(windowize([req(0.0)], 600.0, 150.5))
 
     @given(
         st.lists(

@@ -3,7 +3,7 @@
 Machine-readable results go to standard output as line-delimited JSON;
 human-readable summaries go to standard error.  Exit codes:
 
-    0  success
+    0  success, or the reader closed standard output early (`| head -1`)
     2  usage error (bad flags, bad values, unreadable config file)
     3  infeasible target: no timeout can reach the requested probability
     4  input data error (malformed event, time regression, empty stream)
@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import os
 import stat
 import sys
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CannotInitializeError,
@@ -235,7 +236,7 @@ def _cmd_gen_log(args: argparse.Namespace, config: dict) -> int:
     params = _model_params(args, config)
     duration_s = _as_float("--duration", _require(args, config, "duration", "--duration"))
     seed = _resolve_seed(args, config)
-    out_path = getattr(args, "out", None)
+    out_path = _setting(args, config, "out")
     count = 0
     with _open_out(out_path) as handle:
         for event in generate_event_log(params, duration_s, seed):
@@ -245,10 +246,18 @@ def _cmd_gen_log(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def _tee_windows(windows: Iterable[WindowStats], handle: IO[str]) -> Iterator[WindowStats]:
-    for window in windows:
-        handle.write(window.to_json() + "\n")
-        yield window
+def _tee_windows(
+    windows: Iterable[WindowStats], sidecar: IO[str], write: Callable[[IO[str], WindowStats], None]
+) -> Iterator[WindowStats]:
+    # a closed sidecar is an error, unlike a closed stdout, which ends a run
+    # quietly; the last flush is made here so that it is caught here too
+    try:
+        for window in windows:
+            write(sidecar, window)
+            yield window
+        sidecar.flush()
+    except BrokenPipeError as exc:
+        raise OSError(f"--windows-out {sidecar.name!r}: {exc.strerror}") from exc
 
 
 def _is_regular_file(stream) -> bool:
@@ -269,28 +278,29 @@ def _cmd_tune(args: argparse.Namespace, config: dict) -> int:
         solver_policy=_make_policy(args, config),
     )
     sink = make_sink(_setting(args, config, "sink", "stdout"))
-    windows_out = getattr(args, "windows_out", None)
+    windows_out = _setting(args, config, "windows_out")
     with contextlib.ExitStack() as stack:
         if args.input == "-":
             lines: Iterable[str] = sys.stdin
         else:
             lines = stack.enter_context(open(args.input, encoding="utf-8"))
         # a regular file is read to its end as one batch; anything else may be
-        # a live feed, whose records must not wait in stdout's buffer
+        # a live feed, whose lines must not wait in a buffer
         live = not _is_regular_file(lines)
 
-        def write_record(record: TunerRecord) -> None:
-            sys.stdout.write(record.to_json() + "\n")
+        def write_json(stream: IO[str], item: TunerRecord | WindowStats) -> None:
+            stream.write(item.to_json() + "\n")
             if live:
-                sys.stdout.flush()
+                stream.flush()
 
         windows = windowize(read_events(lines), tuner_config.window_s, tuner_config.n_users)
         if windows_out is not None:
-            windows = _tee_windows(windows, stack.enter_context(open(windows_out, "w", encoding="utf-8")))
-        report = run_tuner(windows, tuner_config, sink, on_record=write_record)
+            sidecar = stack.enter_context(open(windows_out, "w", encoding="utf-8"))
+            windows = _tee_windows(windows, sidecar, write_json)
+        report = run_tuner(windows, tuner_config, sink, on_record=functools.partial(write_json, sys.stdout))
     state = report.final_state
     print(
-        f"{len(report.records)} iterations, {report.skipped_windows} empty windows skipped, "
+        f"{state.iteration + 1} iterations, {report.skipped_windows} empty windows skipped, "
         f"{report.n_published} published, {report.failed_publishes} publish failures; "
         f"final xi_hat {state.xi_hat:.6g}, beta_hat {state.beta_hat:.6g}",
         file=sys.stderr,
@@ -456,7 +466,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         config = _load_config(args.config)
-        return args.handler(args, config)
+        code = args.handler(args, config)
+        # a reader that closed stdout early surfaces here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -1`): stop quietly; with fd 1 on
+        # the null device, the interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EXIT_OK
     except InfeasibleTargetError as exc:
         _emit(
             {

@@ -234,14 +234,10 @@ class TunerRecord:
 
 @dataclass(frozen=True)
 class TunerReport:
-    records: tuple[TunerRecord, ...]
     final_state: EstimatorState
     skipped_windows: int
+    n_published: int
     failed_publishes: int
-
-    @property
-    def n_published(self) -> int:
-        return sum(1 for record in self.records if record.published)
 
 
 def run_tuner(
@@ -262,11 +258,12 @@ def run_tuner(
 
     ``on_record``, if given, is called with each record as soon as it is
     made, before the next window is pulled from ``windows``, so a caller
-    can emit records while a live stream is still being read.
+    can emit records while a live stream is still being read.  The loop
+    keeps no records: the report holds only counts and the final state.
     """
     state: EstimatorState | None = None
-    records: list[TunerRecord] = []
     skipped = 0
+    n_published = 0
     failed_publishes = 0
     for window in windows:
         if window.n_requests == 0:
@@ -309,6 +306,7 @@ def run_tuner(
                     failed_publishes += 1
                     logger.error("publish failed at iteration %d: %s", state.iteration, exc)
             if published:
+                n_published += 1
                 state = replace(state, last_published_timeout_s=solution.timeout_s)
         record = TunerRecord(
             iteration=state.iteration,
@@ -320,14 +318,13 @@ def run_tuner(
             timeout_s=None if solution is None else solution.timeout_s,
             published=published,
         )
-        records.append(record)
         if on_record is not None:
             on_record(record)
     if state is None:
         raise CannotInitializeError("window stream contained no traffic")
     return TunerReport(
-        records=tuple(records),
         final_state=state,
         skipped_windows=skipped,
+        n_published=n_published,
         failed_publishes=failed_publishes,
     )

@@ -41,7 +41,12 @@ def _payload(timeout_s: float, meta: Mapping[str, object] | None) -> dict:
 
 
 class StdoutSink:
-    """Write one JSON line per publish to a stream (standard output by default)."""
+    """Write one JSON line per publish to a stream (standard output by default).
+
+    It does not flush: whoever owns the stream decides when to.  A closed
+    pipe (``BrokenPipeError``) is not a failed publish to retry; it
+    propagates, so the run ends.
+    """
 
     def __init__(self, stream: IO[str] | None = None):
         self._stream = stream
@@ -50,7 +55,8 @@ class StdoutSink:
         stream = self._stream if self._stream is not None else sys.stdout
         try:
             stream.write(json.dumps(_payload(timeout_s, meta)) + "\n")
-            stream.flush()
+        except BrokenPipeError:
+            raise
         except OSError as exc:
             raise SinkError(f"stdout sink: {exc}") from exc
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 import random
 import select
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -22,6 +24,30 @@ def stdout_records(out: str) -> list[dict]:
 
 
 N150_FLAGS = ["--users", "150", "--beta", "1.39e-3", "--xi", "0.1338"]
+CLI = [sys.executable, "-m", "idletune.cli"]
+
+
+def read_lines(stream, n: int, timeout_s: float) -> list[str]:
+    """The first ``n`` lines of a pipe, or fewer if they do not all come in time."""
+    data = b""
+    deadline = time.monotonic() + timeout_s
+    while data.count(b"\n") < n:
+        ready, _, _ = select.select([stream], [], [], max(deadline - time.monotonic(), 0.0))
+        chunk = os.read(stream.fileno(), 65536) if ready else b""
+        if not chunk:
+            break
+        data += chunk
+    return data.decode().splitlines()[:n]
+
+
+def first_line_of(path, timeout_s: float) -> str:
+    """The first line of a file another process is writing, or "" if none comes in time."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if path.exists() and "\n" in (text := path.read_text()):
+            return text.splitlines()[0]
+        time.sleep(0.05)
+    return ""
 
 
 class TestSolve:
@@ -340,6 +366,103 @@ class TestTune:
                 proc.wait()
             proc.stdout.close()
 
+    def test_every_output_streams_before_a_piped_input_ends(self, tmp_path):
+        # on a live feed the publish line, its record and the sidecar's window
+        # must all arrive while stdin is still open
+        sidecar = tmp_path / "windows.jsonl"
+        proc = subprocess.Popen(
+            [*CLI, "tune", "-", "--users", "50", "--window", "600", "--sink", "stdout",
+             "--windows-out", str(sidecar)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            for i in range(20):
+                kind = "bind" if i % 3 == 0 else "request"
+                proc.stdin.write(b'{"ts": %r, "kind": "%s"}\n' % (100.0 * i, kind.encode()))
+            proc.stdin.flush()
+            lines = read_lines(proc.stdout, 2, timeout_s=10.0)
+            assert len(lines) == 2, f"stdout held {lines} within 10 s while the input was still open"
+            publish, record = map(json.loads, lines)
+            assert publish["event"] == "publish"
+            assert record["iteration"] == 0 and record["published"] is True
+            assert record["window_end_ts"] == publish["window_end_ts"]
+            window = first_line_of(sidecar, timeout_s=10.0)
+            assert window, "no sidecar window within 10 s while the input was still open"
+            assert json.loads(window)["window_start_ts"] == 0.0
+            proc.stdin.close()
+            assert proc.wait(timeout=10.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`| head -1`) ends the run, quietly and with exit 0."""
+
+    def head_1(self, tmp_path, *argv) -> tuple[str, int, str]:
+        # each output is far larger than a pipe holds, so the writer must meet the closed end
+        err_path = tmp_path / "stderr.txt"
+        with err_path.open("w") as err:
+            proc = subprocess.Popen([*CLI, *argv], stdout=subprocess.PIPE, stderr=err)
+            try:
+                (first,) = read_lines(proc.stdout, 1, timeout_s=30.0)
+                proc.stdout.close()
+                code = proc.wait(timeout=30.0)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        return first, code, err_path.read_text()
+
+    def assert_quiet(self, code: int, err: str) -> None:
+        assert code == 0
+        for word in ("error", "Traceback", "Exception ignored"):
+            assert word.lower() not in err.lower(), err
+
+    def test_gen_log(self, tmp_path):
+        first, code, err = self.head_1(
+            tmp_path, "gen-log", "--users", "50", "--beta", "0.01", "--xi", "0.3",
+            "--duration", "40000", "--seed", "8",
+        )
+        assert set(json.loads(first)) == {"ts", "kind"}
+        self.assert_quiet(code, err)
+
+    def test_tune_with_stdout_sink(self, tmp_path, event_log):
+        first, code, err = self.head_1(
+            tmp_path, "tune", str(event_log), "--users", "50", "--window", "60", "--delta", "0",
+            "--sink", "stdout",
+        )
+        assert json.loads(first)["event"] == "publish"
+        self.assert_quiet(code, err)
+
+    def test_a_closed_sidecar_is_still_an_error(self, tmp_path, event_log):
+        # unlike a closed stdout, a sidecar whose reader went away must not end the run quietly
+        fifo = tmp_path / "windows.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        err_path = tmp_path / "stderr.txt"
+        with err_path.open("w") as err:
+            proc = subprocess.Popen(
+                [*CLI, "tune", str(event_log), "--users", "50", "--window", "30", "--windows-out", str(fifo)],
+                stdout=subprocess.DEVNULL,
+                stderr=err,
+            )
+            try:
+                with os.fdopen(reader, "rb") as stream:
+                    (window,) = read_lines(stream, 1, timeout_s=30.0)
+                assert json.loads(window)["window_s"] == 30.0
+                code = proc.wait(timeout=30.0)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert code == 4
+        assert "--windows-out" in err_path.read_text()
+
 
 class TestTuneIngestPaths:
     TUNE_FLAGS = ["--users", "50", "--window", "600", "--eps", "0.1", "--delta", "1"]
@@ -437,6 +560,32 @@ class TestConfigFile:
             "--timeout", "1", "--trials", "100",
         )
         assert stdout_records(out)[0]["seed"] == 12
+
+    def test_supplies_gen_log_out(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        out_path = tmp_path / "g.jsonl"
+        config.write_text(json.dumps({"out": str(out_path)}))
+        code, out, _ = run_cli(
+            capsys,
+            "gen-log",
+            "--config", str(config),
+            "--users", "20", "--beta", "0.01", "--xi", "0.3", "--duration", "1000", "--seed", "8",
+        )
+        assert code == 0
+        assert out == ""
+        assert len(out_path.read_text().splitlines()) > 0
+
+    def test_supplies_tune_windows_out(self, capsys, tmp_path, event_log):
+        config = tmp_path / "cfg.json"
+        sidecar = tmp_path / "side.jsonl"
+        config.write_text(json.dumps({"windows_out": str(sidecar)}))
+        code, out, _ = run_cli(
+            capsys, "tune", str(event_log), "--config", str(config), "--users", "50", "--window", "600"
+        )
+        assert code == 0
+        records = [r for r in stdout_records(out) if "published" in r]
+        assert len(records) > 10
+        assert len(sidecar.read_text().splitlines()) == len(records)
 
     def test_unreadable_config_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "solve", "--config", str(tmp_path / "nope.json"))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,17 +221,19 @@ class TestRunTuner:
         return TunerConfig(window_s=1000.0, target_eps=eps, n_users=50, publish_delta_s=delta)
 
     def test_single_window_publishes_once(self):
-        report = run_tuner([window(chi=0.3, theta=0.01)], self.config())
-        assert len(report.records) == 1
-        assert report.records[0].published
+        seen: list = []
+        report = run_tuner([window(chi=0.3, theta=0.01)], self.config(), on_record=seen.append)
+        assert len(seen) == 1
+        assert seen[0].published
         assert report.n_published == 1
-        assert report.final_state.last_published_timeout_s == report.records[0].timeout_s
+        assert report.final_state.last_published_timeout_s == seen[0].timeout_s
 
     def test_stable_stream_publishes_only_first(self):
         windows = [window(chi=0.3, theta=0.01, start=1000.0 * i) for i in range(10)]
-        report = run_tuner(windows, self.config(delta=5.0))
+        seen: list = []
+        report = run_tuner(windows, self.config(delta=5.0), on_record=seen.append)
         assert report.n_published == 1
-        assert [r.published for r in report.records] == [True] + [False] * 9
+        assert [r.published for r in seen] == [True] + [False] * 9
 
     def test_empty_stream_cannot_start(self):
         with pytest.raises(CannotInitializeError):
@@ -244,11 +247,12 @@ class TestRunTuner:
             empty_window(start=1000.0),
             window(chi=0.5, theta=0.01, start=2000.0),
         ]
-        report = run_tuner(windows, self.config())
+        seen: list = []
+        report = run_tuner(windows, self.config(), on_record=seen.append)
         assert report.skipped_windows == 1
-        assert [r.iteration for r in report.records] == [0, 1]
+        assert [r.iteration for r in seen] == [0, 1]
         # the skipped window must not have diluted the step size
-        assert report.records[1].xi_hat == pytest.approx(0.4)
+        assert seen[1].xi_hat == pytest.approx(0.4)
 
     def test_infeasible_iterations_are_recorded_not_fatal(self):
         windows = [
@@ -256,18 +260,20 @@ class TestRunTuner:
             WindowStats.from_counts(0.0, 1000.0, 1000, 1, 50),
             WindowStats.from_counts(1000.0, 1000.0, 1000, 900, 50),
         ]
-        report = run_tuner(windows, self.config(eps=0.01))
-        assert report.records[0].timeout_s is None
-        assert not report.records[0].published
-        assert report.records[1].timeout_s is not None
+        seen: list = []
+        run_tuner(windows, self.config(eps=0.01), on_record=seen.append)
+        assert seen[0].timeout_s is None
+        assert not seen[0].published
+        assert seen[1].timeout_s is not None
 
     def test_failed_publish_is_retried_next_window(self):
         sink = _FlakySink(n_failures=1)
         windows = [window(chi=0.3, theta=0.01, start=1000.0 * i) for i in range(3)]
-        report = run_tuner(windows, self.config(delta=5.0), sink)
+        seen: list = []
+        report = run_tuner(windows, self.config(delta=5.0), sink, on_record=seen.append)
         assert report.failed_publishes == 1
         # the gate stayed open after the failure, so the next window delivered
-        assert [r.published for r in report.records] == [False, True, False]
+        assert [r.published for r in seen] == [False, True, False]
         assert len(sink.delivered) == 1
 
     def test_publish_count_nonincreasing_in_delta(self):
@@ -289,16 +295,19 @@ class TestRunTuner:
             window(chi=float(c), theta=0.01, start=1000.0 * i)
             for i, c in enumerate(rng.uniform(0.1, 0.9, 20))
         ]
-        a = run_tuner(list(windows), self.config())
-        b = run_tuner(list(windows), self.config())
+        seen_a: list = []
+        seen_b: list = []
+        a = run_tuner(list(windows), self.config(), on_record=seen_a.append)
+        b = run_tuner(list(windows), self.config(), on_record=seen_b.append)
         assert a == b
-        assert "".join(r.to_json() + "\n" for r in a.records) == "".join(
-            r.to_json() + "\n" for r in b.records
+        assert "".join(r.to_json() + "\n" for r in seen_a) == "".join(
+            r.to_json() + "\n" for r in seen_b
         )
 
     def test_report_line_schema(self):
-        report = run_tuner([window(chi=0.3, theta=0.01)], self.config())
-        record = json.loads("".join(r.to_json() + "\n" for r in report.records).splitlines()[0])
+        seen: list = []
+        run_tuner([window(chi=0.3, theta=0.01)], self.config(), on_record=seen.append)
+        record = json.loads("".join(r.to_json() + "\n" for r in seen).splitlines()[0])
         assert list(record) == [
             "iteration",
             "window_end_ts",
@@ -328,8 +337,23 @@ class TestRunTuner:
             assert len(seen) == nonempty
 
         report = run_tuner(stream(), self.config(), on_record=seen.append)
-        assert tuple(seen) == report.records
+        assert len(seen) == report.final_state.iteration + 1
         assert len(seen) == 3
+
+    def test_keeps_no_per_window_state(self):
+        # the loop must run beside a live feed for as long as it lasts
+        def stream():
+            for i in range(20_000):
+                yield window(chi=0.3 + 0.1 * (i % 3), theta=0.01, start=1000.0 * i)
+
+        tracemalloc.start()
+        try:
+            report = run_tuner(stream(), self.config())
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.final_state.iteration == 19_999
+        assert held < 100_000
 
     def test_converges_on_synthetic_constant_traffic(self):
         rng = np.random.default_rng(99)

@@ -24,6 +24,20 @@ class TestStdoutSink:
         StdoutSink(stream).publish(10.0)
         assert json.loads(stream.getvalue()) == {"event": "publish", "timeout_s": 10.0}
 
+    def test_leaves_flushing_to_the_stream_owner(self):
+        stream = mock.Mock(spec=io.StringIO)
+        StdoutSink(stream).publish(10.0)
+        stream.write.assert_called_once()
+        stream.flush.assert_not_called()
+
+    @pytest.mark.parametrize("error,raised", [(BrokenPipeError, BrokenPipeError), (OSError, SinkError)])
+    def test_only_a_closed_pipe_escapes_as_itself(self, error, raised):
+        # a closed stdout ends the run; any other write failure is a failed publish
+        stream = mock.Mock(spec=io.StringIO)
+        stream.write.side_effect = error("write failed")
+        with pytest.raises(raised):
+            StdoutSink(stream).publish(10.0)
+
 
 class TestFileSink:
     def test_appends_history(self, tmp_path):

@@ -6,7 +6,12 @@ mid-use with at most a chosen probability.  It offers the closed-form
 model and its inverse, a recursive estimator that tracks the model's
 parameters from access-log traffic, simulators that check both against
 sampled behavior, and a command line tying them together.
+
+The simulators need numpy, so their names are loaded on first use: a
+bare ``import idletune`` does not import numpy.
 """
+
+import importlib
 
 from .errors import (
     CannotInitializeError,
@@ -51,17 +56,24 @@ from .model import (
     solve_timeout_large_n,
     state_probability,
 )
-from .simulate import (
-    SimResult,
-    SystemConfig,
-    SystemReport,
-    generate_event_log,
-    simulate_failure_prob,
-    simulate_system,
-)
 from .sinks import FileSink, LdifSink, StdoutSink, WebhookSink, make_sink
 
 __version__ = "0.1.0"
+
+_SIMULATE_NAMES = frozenset(
+    ["SimResult", "SystemConfig", "SystemReport", "generate_event_log", "simulate_failure_prob",
+     "simulate_system"]
+)
+
+
+def __getattr__(name):
+    if name == "simulate" or name in _SIMULATE_NAMES:
+        # import_module, not ``from . import``: that would look the name up
+        # on this package again, and so call this function again
+        simulate = importlib.import_module(".simulate", __name__)
+        return simulate if name == "simulate" else getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "IdletuneError",

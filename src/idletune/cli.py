@@ -45,7 +45,6 @@ from .model import (
     feasibility_bound,
     solve_timeout,
 )
-from .simulate import SystemConfig, generate_event_log, simulate_failure_prob, simulate_system
 from .sinks import make_sink
 
 __all__ = ["main", "entry_point"]
@@ -196,7 +195,13 @@ def _cmd_bound(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
+# the simulating commands import .simulate when they run, because it loads
+# numpy, which no other command needs
+
+
 def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
+    from .simulate import simulate_failure_prob
+
     params = _model_params(args, config)
     timeout_s = _as_float("--timeout", _require(args, config, "timeout", "--timeout"))
     trials = _as_int("--trials", _setting(args, config, "trials", DEFAULT_TRIALS))
@@ -212,6 +217,8 @@ def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_sim_system(args: argparse.Namespace, config: dict) -> int:
+    from .simulate import SystemConfig, simulate_system
+
     process_life = _as_int("--process-life", _setting(args, config, "process_life", 0))
     system = SystemConfig(
         n_users=_as_int("--users", _require(args, config, "users", "--users")),
@@ -233,6 +240,8 @@ def _cmd_sim_system(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_gen_log(args: argparse.Namespace, config: dict) -> int:
+    from .simulate import generate_event_log
+
     params = _model_params(args, config)
     duration_s = _as_float("--duration", _require(args, config, "duration", "--duration"))
     seed = _resolve_seed(args, config)
@@ -287,6 +296,11 @@ def _cmd_tune(args: argparse.Namespace, config: dict) -> int:
         # a regular file is read to its end as one batch; anything else may be
         # a live feed, whose lines must not wait in a buffer
         live = not _is_regular_file(lines)
+        if not live and getattr(sys.stdout, "write_through", False):
+            # a batch's lines may wait, even where PYTHONUNBUFFERED made stdout
+            # write each one through; restoring it flushes them, also on error
+            sys.stdout.reconfigure(write_through=False)
+            stack.callback(sys.stdout.reconfigure, write_through=True)
 
         def write_json(stream: IO[str], item: TunerRecord | WindowStats) -> None:
             stream.write(item.to_json() + "\n")
@@ -464,41 +478,44 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    code = EXIT_OK
     try:
-        config = _load_config(args.config)
-        code = args.handler(args, config)
+        try:
+            code = args.handler(args, _load_config(args.config))
+        except BrokenPipeError:
+            raise  # a closed stdout, handled below rather than as an OSError
+        except InfeasibleTargetError as exc:
+            code = EXIT_INFEASIBLE
+            print(f"error: {exc}", file=sys.stderr)
+            _emit(
+                {
+                    "error": "infeasible-target",
+                    "target_eps": exc.target_eps,
+                    "feasibility_bound": exc.bound,
+                }
+            )
+        except (ParseError, SequencingError, CannotInitializeError) as exc:
+            code = EXIT_INPUT
+            print(f"error: {exc}", file=sys.stderr)
+        except SinkError as exc:
+            code = EXIT_SINK
+            print(f"error: {exc}", file=sys.stderr)
+        except ValueError as exc:
+            code = EXIT_USAGE
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError as exc:
+            code = EXIT_INPUT
+            print(f"error: {exc}", file=sys.stderr)
         # a reader that closed stdout early surfaces here, not at exit
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
-        # the reader closed stdout (`| head -1`): stop quietly; with fd 1 on
-        # the null device, the interpreter's final flush cannot fail again
+        # the reader closed stdout (`| head -1`): stop quietly, with the code
+        # of any error met first; with fd 1 on the null device, the
+        # interpreter's final flush cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)
         os.close(devnull)
-        return EXIT_OK
-    except InfeasibleTargetError as exc:
-        _emit(
-            {
-                "error": "infeasible-target",
-                "target_eps": exc.target_eps,
-                "feasibility_bound": exc.bound,
-            }
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ParseError, SequencingError, CannotInitializeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINK
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    return code
 
 
 def entry_point() -> None:

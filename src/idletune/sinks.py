@@ -13,9 +13,7 @@ import json
 import math
 import os
 import sys
-import urllib.error
 import urllib.parse
-import urllib.request
 from typing import IO, Mapping
 
 from .errors import SinkError
@@ -124,6 +122,10 @@ class WebhookSink:
         self.timeout_s = timeout_s
 
     def publish(self, timeout_s: float, meta: Mapping[str, object] | None = None) -> None:
+        # imported here: urllib.request loads http.client, email and ssl,
+        # which the other sinks do not need
+        import urllib.request
+
         body = json.dumps(_payload(timeout_s, meta)).encode("utf-8")
         request = urllib.request.Request(
             self.url, data=body, headers={"Content-Type": "application/json"}
@@ -131,9 +133,7 @@ class WebhookSink:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
                 status = response.status
-        except urllib.error.URLError as exc:
-            raise SinkError(f"webhook {self.url!r}: {exc}") from exc
-        except OSError as exc:
+        except OSError as exc:  # urllib's URLError and HTTPError included
             raise SinkError(f"webhook {self.url!r}: {exc}") from exc
         if not 200 <= status < 300:
             raise SinkError(f"webhook {self.url!r}: HTTP status {status}")

@@ -1,4 +1,6 @@
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -27,3 +29,15 @@ def test_top_level_reexports_exactly_the_library_apis():
         if isinstance(value, type) and issubclass(value, Exception)
     )
     assert sorted(idletune.__all__) == sorted(exported)
+
+
+def test_simulate_names_load_on_first_use():
+    # numpy comes in with the first simulate name, not with the package
+    probe = (
+        "import sys, idletune; before = 'numpy' in sys.modules; "
+        "print(before, idletune.simulate_system.__module__, idletune.simulate.__name__, "
+        "'numpy' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "idletune.simulate", "idletune.simulate", "True"]

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -339,6 +340,31 @@ class TestTune:
         code, _, _ = run_cli(capsys, *self.tune_args(event_log, "--sink", "carrier-pigeon"))
         assert code == 2
 
+    def test_a_regular_file_coalesces_a_write_through_stdout(self, monkeypatch, event_log):
+        # PYTHONUNBUFFERED opens stdout write-through, one write(2) per line;
+        # a batch read from a regular file must not pay that, and the stream
+        # must be write-through again after
+        raw = CountingRaw()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr("sys.stdout", stdout)
+        code = main(self.tune_args(event_log, "--window", "60", "--delta", "0", "--sink", "stdout"))
+        assert code == 0
+        lines = raw.data.decode().splitlines()
+        assert len(lines) > 500
+        assert raw.writes <= len(raw.data) // 4096 + 1
+        assert stdout.write_through is True
+
+    def test_records_before_a_malformed_line_still_reach_stdout(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(seeded_log(3, 200) + "not json\n")
+        code, out, err = run_cli(capsys, *self.tune_args(bad, "--window", "60"))
+        assert code == 4
+        assert "line 201" in err
+        records = [r for r in stdout_records(out) if "published" in r]
+        assert len(records) > 10
+        assert [r["iteration"] for r in records] == list(range(len(records)))
+        assert sys.stdout.write_through is True
+
     def test_records_stream_before_a_piped_input_ends(self, tmp_path):
         # a live feed: the first window's record must arrive while stdin is open
         proc = subprocess.Popen(
@@ -439,6 +465,27 @@ class TestClosedStdout:
         assert json.loads(first)["event"] == "publish"
         self.assert_quiet(code, err)
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_an_error_report_outlives_a_closed_stdout(self, unbuffered):
+        # the read end is closed before the child starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [*CLI, "solve", "--users", "20", "--beta", "0.01", "--xi", "0.3", "--eps", "1e-4"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: target failure probability 0.0001 is unattainable")
+        for word in ("Traceback", "Exception ignored"):
+            assert word not in result.stderr, result.stderr
+
     def test_a_closed_sidecar_is_still_an_error(self, tmp_path, event_log):
         # unlike a closed stdout, a sidecar whose reader went away must not end the run quietly
         fifo = tmp_path / "windows.fifo"
@@ -521,6 +568,22 @@ class TestTuneIngestPaths:
         )
 
 
+class CountingRaw(io.RawIOBase):
+    """A raw output stream that keeps what it is given and counts its write calls."""
+
+    def __init__(self):
+        self.writes = 0
+        self.data = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, b) -> int:
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
 def seeded_log(seed: int, n_events: int) -> str:
     """Canonical log lines drawn from Python's own seeded generator."""
     rng = random.Random(seed)
@@ -596,6 +659,39 @@ class TestConfigFile:
         config.write_text("{not json")
         code, _, _ = run_cli(capsys, "solve", "--config", str(config))
         assert code == 2
+
+
+IMPORT_PROBE = """
+import json, sys
+from idletune.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+sys.stdout.flush()
+print(json.dumps({"codes": codes, "loaded": [m for m in json.loads(sys.argv[2]) if m in sys.modules]}))
+"""
+
+
+class TestImports:
+    def test_model_and_tune_commands_load_neither_numpy_nor_urllib(self, tmp_path):
+        log = tmp_path / "small.jsonl"
+        log.write_text(seeded_log(5, 300))
+        tune = ["tune", str(log), "--users", "50", "--window", "600", "--delta", "1"]
+        commands = [
+            ["solve", *N150_FLAGS, "--eps", "0.1"],
+            ["prob", *N150_FLAGS, "--timeout", "87"],
+            ["bound", "--users", "150", "--xi", "0.1338"],
+            [*tune, "--sink", "stdout"],
+            [*tune, "--sink", f"ldif:{tmp_path / 'update.ldif'}"],
+        ]
+        heavy = ["numpy", "urllib.request", "http.client"]
+        result = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands), json.dumps(heavy)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        probe = json.loads(result.stdout.splitlines()[-1])
+        assert probe == {"codes": [0] * len(commands), "loaded": []}
 
 
 class TestConsoleScript:

@@ -9,10 +9,15 @@ human-readable summaries go to standard error.  Exit codes:
     4  input data error (malformed event, time regression, empty stream)
     5  one or more publishes failed to deliver
 
-Every setting can also come from a JSON config file (``--config``) keyed
-by the flag's long name with dashes as underscores; flags override the
-file.  The default RNG seed may come from the IDLETUNE_SEED environment
-variable; explicit flags and config values override it.
+Settings come from flags, then a JSON config file (``--config``) keyed by
+the flags' long names with underscores for dashes, then (``--seed`` only)
+the IDLETUNE_SEED environment variable, then the command's default.  Config
+values are checked like flags; an unknown key is an error, and ``--config``,
+``--verbose`` and tune's input path are flag-only.
+
+Standard output gathers lines into large writes for every command, also
+under PYTHONUNBUFFERED, and is flushed before the command returns; ``tune``
+on a live feed flushes it after each window.
 """
 
 from __future__ import annotations
@@ -57,26 +62,42 @@ EXIT_SINK = 5
 
 SEED_ENV_VAR = "IDLETUNE_SEED"
 
-DEFAULT_EPS = 0.1
-DEFAULT_DELTA_S = 5.0
-DEFAULT_WINDOW_S = 1200.0
-DEFAULT_TRIALS = 100_000
+PATH = "PATH"  # a string setting that names a file
+REQUIRED = object()  # the default of a setting that must be given
+
+# Every setting once: its type (int, float, str, PATH, or a tuple of
+# choices) and its help text, in which "{}" stands for the default.
+SETTINGS: dict[str, tuple[object, str]] = {
+    "users": (int, "population size N"),
+    "beta": (float, "per-user request rate, 1/s"),
+    "xi": (float, "marked-request probability in [0, 1]"),
+    "expression": (("auto", "exact", "large-n"), "inversion to use (default {}: exact up to the threshold)"),
+    "large_n_threshold": (int, "population above which auto picks large-n (default {})"),
+    "eps": (float, "target failure probability (default {})"),
+    "timeout": (float, "idle timeout to evaluate, seconds"),
+    "trials": (int, "number of trials (default {})"),
+    "seed": (int, "RNG seed (default env IDLETUNE_SEED, then {})"),
+    "processes": (int, "pooled child processes (default {})"),
+    "process_life": (int, "requests served before a child respawns; 0 means never (default {})"),
+    "idle_timeout": (float, "server idle timeout under test, seconds; 0 means never drop (default {:g})"),
+    "duration": (float, "log span, seconds"),
+    "out": (PATH, "output file (default stdout)"),
+    "window": (float, "averaging window, seconds (default {:g})"),
+    "delta": (float, "publish threshold, seconds (default {:g})"),
+    "schedule": (str, "step sizes: harmonic, power:A with A in (0.5, 1], or constant:C (default {})"),
+    "sink": (str, "publish target: stdout, file:PATH, ldif:PATH, or webhook:URL (default {})"),
+    "windows_out": (PATH, "also write per-window statistics to this file"),
+}
+
+# the two places where a command words a shared setting its own way
+OWN_HELP = {
+    ("sim-system", "duration"): "simulated wall time, seconds",
+    ("tune", "users"): "population size N (not estimated)",
+}
 
 
-def _setting(args: argparse.Namespace, config: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
-
-
-def _require(args: argparse.Namespace, config: dict, name: str, flag: str):
-    value = _setting(args, config, name)
-    if value is None:
-        raise ValueError(f"missing required setting {flag} (flag or config file)")
-    return value
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _as_int(flag: str, value) -> int:
@@ -107,23 +128,45 @@ def _as_float(flag: str, value) -> float:
     raise ValueError(f"{flag} must be a number, got {value!r}")
 
 
-def _resolve_seed(args: argparse.Namespace, config: dict) -> int:
-    value = getattr(args, "seed", None)
-    if value is None:
-        value = config.get("seed")
-    if value is None:
-        value = os.environ.get(SEED_ENV_VAR)
-    if value is None:
-        return 0
-    return _as_int("--seed", value)
+def _checked(name: str, value):
+    """``value`` as setting ``name``'s type, or ValueError naming its flag."""
+    kind, _ = SETTINGS[name]
+    flag = _flag(name)
+    if kind is int:
+        return _as_int(flag, value)
+    if kind is float:
+        return _as_float(flag, value)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{flag} must be {', '.join(kind[:-1])}, or {kind[-1]}, got {value!r}")
+    elif not isinstance(value, str):
+        raise ValueError(f"{flag} must be a string, got {value!r}")
+    return value
 
 
-def _parse_schedule(text) -> StepSchedule:
-    if isinstance(text, StepSchedule):
-        return text
+def _resolve(args: argparse.Namespace, config: dict) -> None:
+    """Set each of the command's settings on ``args``: from its flag, else
+    the config file, else (seed only) IDLETUNE_SEED, else its default."""
+    _, _, settings = COMMANDS[args.command]
+    for name, default in settings.items():
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name)
+        if value is None and name == "seed":
+            value = os.environ.get(SEED_ENV_VAR)
+        if value is not None:
+            value = _checked(name, value)
+        elif default is REQUIRED:
+            raise ValueError(f"missing required setting {_flag(name)} (flag or config file)")
+        else:
+            value = default
+        setattr(args, name, value)
+
+
+def _parse_schedule(text: str) -> StepSchedule:
     if text == "harmonic":
         return StepSchedule.harmonic()
-    kind, sep, arg = str(text).partition(":")
+    kind, sep, arg = text.partition(":")
     if sep and arg:
         if kind == "power":
             return StepSchedule.power(_as_float("--schedule power:", arg))
@@ -132,34 +175,21 @@ def _parse_schedule(text) -> StepSchedule:
     raise ValueError(f"schedule {text!r} is not harmonic, power:A, or constant:C")
 
 
-def _make_policy(args: argparse.Namespace, config: dict) -> SolverPolicy:
-    expression = _setting(args, config, "expression", "auto")
-    threshold = _as_int(
-        "--large-n-threshold",
-        _setting(args, config, "large_n_threshold", DEFAULT_LARGE_N_THRESHOLD),
-    )
-    force = {"auto": None, "exact": Expression.EXACT, "large-n": Expression.LARGE_N}.get(expression, ...)
-    if force is ...:
-        raise ValueError(f"--expression must be auto, exact, or large-n, got {expression!r}")
-    return SolverPolicy(large_n_threshold=threshold, force=force)
+def _policy(args: argparse.Namespace) -> SolverPolicy:
+    force = None if args.expression == "auto" else Expression(args.expression)
+    return SolverPolicy(large_n_threshold=args.large_n_threshold, force=force)
 
 
-def _model_params(args: argparse.Namespace, config: dict) -> ModelParams:
-    return ModelParams(
-        n_users=_as_int("--users", _require(args, config, "users", "--users")),
-        beta=_as_float("--beta", _require(args, config, "beta", "--beta")),
-        xi=_as_float("--xi", _require(args, config, "xi", "--xi")),
-    )
+def _model_params(args: argparse.Namespace) -> ModelParams:
+    return ModelParams(n_users=args.users, beta=args.beta, xi=args.xi)
 
 
 def _emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record) + "\n")
 
 
-def _cmd_solve(args: argparse.Namespace, config: dict) -> int:
-    params = _model_params(args, config)
-    eps = _as_float("--eps", _setting(args, config, "eps", DEFAULT_EPS))
-    solution = solve_timeout(params, eps, _make_policy(args, config))
+def _cmd_solve(args: argparse.Namespace) -> int:
+    solution = solve_timeout(_model_params(args), args.eps, _policy(args))
     _emit(
         {
             "timeout_s": solution.timeout_s,
@@ -169,27 +199,23 @@ def _cmd_solve(args: argparse.Namespace, config: dict) -> int:
     )
     print(
         f"idle timeout {solution.timeout_s:.6g} s reaches failure probability "
-        f"{eps:.6g} ({solution.expression.value} inversion; attainable floor "
+        f"{args.eps:.6g} ({solution.expression.value} inversion; attainable floor "
         f"{solution.feasibility_bound:.6g})",
         file=sys.stderr,
     )
     return EXIT_OK
 
 
-def _cmd_prob(args: argparse.Namespace, config: dict) -> int:
-    params = _model_params(args, config)
-    timeout_s = _as_float("--timeout", _require(args, config, "timeout", "--timeout"))
-    p = failure_probability(params, timeout_s)
+def _cmd_prob(args: argparse.Namespace) -> int:
+    p = failure_probability(_model_params(args), args.timeout)
     _emit({"failure_probability": p})
-    print(f"failure probability {p:.6g} at idle timeout {timeout_s:.6g} s", file=sys.stderr)
+    print(f"failure probability {p:.6g} at idle timeout {args.timeout:.6g} s", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_bound(args: argparse.Namespace, config: dict) -> int:
-    n_users = _as_int("--users", _require(args, config, "users", "--users"))
-    xi = _as_float("--xi", _require(args, config, "xi", "--xi"))
+def _cmd_bound(args: argparse.Namespace) -> int:
     # the floor depends only on the population and marked fraction
-    bound = feasibility_bound(ModelParams(n_users=n_users, beta=1.0, xi=xi))
+    bound = feasibility_bound(ModelParams(n_users=args.users, beta=1.0, xi=args.xi))
     _emit({"feasibility_bound": bound})
     print(f"no timeout can push the failure probability below {bound:.6g}", file=sys.stderr)
     return EXIT_OK
@@ -199,14 +225,10 @@ def _cmd_bound(args: argparse.Namespace, config: dict) -> int:
 # numpy, which no other command needs
 
 
-def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     from .simulate import simulate_failure_prob
 
-    params = _model_params(args, config)
-    timeout_s = _as_float("--timeout", _require(args, config, "timeout", "--timeout"))
-    trials = _as_int("--trials", _setting(args, config, "trials", DEFAULT_TRIALS))
-    seed = _resolve_seed(args, config)
-    result = simulate_failure_prob(params, timeout_s, trials, seed)
+    result = simulate_failure_prob(_model_params(args), args.timeout, args.trials, args.seed)
     sys.stdout.write(result.to_json() + "\n")
     print(
         f"p_hat {result.p_hat:.6g} +/- {result.std_err:.3g} "
@@ -216,20 +238,19 @@ def _cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_sim_system(args: argparse.Namespace, config: dict) -> int:
+def _cmd_sim_system(args: argparse.Namespace) -> int:
     from .simulate import SystemConfig, simulate_system
 
-    process_life = _as_int("--process-life", _setting(args, config, "process_life", 0))
     system = SystemConfig(
-        n_users=_as_int("--users", _require(args, config, "users", "--users")),
-        beta=_as_float("--beta", _require(args, config, "beta", "--beta")),
-        xi=_as_float("--xi", _require(args, config, "xi", "--xi")),
-        n_processes=_as_int("--processes", _setting(args, config, "processes", 1)),
-        idle_timeout_s=_as_float("--idle-timeout", _setting(args, config, "idle_timeout", 0.0)),
-        duration_s=_as_float("--duration", _require(args, config, "duration", "--duration")),
-        process_life=None if process_life == 0 else process_life,
+        n_users=args.users,
+        beta=args.beta,
+        xi=args.xi,
+        n_processes=args.processes,
+        idle_timeout_s=args.idle_timeout,
+        duration_s=args.duration,
+        process_life=args.process_life or None,
     )
-    report = simulate_system(system, _resolve_seed(args, config))
+    report = simulate_system(system, args.seed)
     sys.stdout.write(report.to_json() + "\n")
     print(
         f"{report.failed_binds}/{report.marked_requests} marked requests failed "
@@ -239,19 +260,15 @@ def _cmd_sim_system(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_log(args: argparse.Namespace, config: dict) -> int:
+def _cmd_gen_log(args: argparse.Namespace) -> int:
     from .simulate import generate_event_log
 
-    params = _model_params(args, config)
-    duration_s = _as_float("--duration", _require(args, config, "duration", "--duration"))
-    seed = _resolve_seed(args, config)
-    out_path = _setting(args, config, "out")
     count = 0
-    with _open_out(out_path) as handle:
-        for event in generate_event_log(params, duration_s, seed):
+    with _open_out(args.out) as handle:
+        for event in generate_event_log(_model_params(args), args.duration, args.seed):
             handle.write(event.to_json() + "\n")
             count += 1
-    print(f"wrote {count} events (seed {seed})", file=sys.stderr)
+    print(f"wrote {count} events (seed {args.seed})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -277,17 +294,16 @@ def _is_regular_file(stream) -> bool:
         return False
 
 
-def _cmd_tune(args: argparse.Namespace, config: dict) -> int:
+def _cmd_tune(args: argparse.Namespace) -> int:
     tuner_config = TunerConfig(
-        window_s=_as_float("--window", _setting(args, config, "window", DEFAULT_WINDOW_S)),
-        target_eps=_as_float("--eps", _setting(args, config, "eps", DEFAULT_EPS)),
-        n_users=_as_int("--users", _require(args, config, "users", "--users")),
-        publish_delta_s=_as_float("--delta", _setting(args, config, "delta", DEFAULT_DELTA_S)),
-        schedule=_parse_schedule(_setting(args, config, "schedule", "harmonic")),
-        solver_policy=_make_policy(args, config),
+        window_s=args.window,
+        target_eps=args.eps,
+        n_users=args.users,
+        publish_delta_s=args.delta,
+        schedule=_parse_schedule(args.schedule),
+        solver_policy=_policy(args),
     )
-    sink = make_sink(_setting(args, config, "sink", "stdout"))
-    windows_out = _setting(args, config, "windows_out")
+    sink = make_sink(args.sink)
     with contextlib.ExitStack() as stack:
         if args.input == "-":
             lines: Iterable[str] = sys.stdin
@@ -296,11 +312,6 @@ def _cmd_tune(args: argparse.Namespace, config: dict) -> int:
         # a regular file is read to its end as one batch; anything else may be
         # a live feed, whose lines must not wait in a buffer
         live = not _is_regular_file(lines)
-        if not live and getattr(sys.stdout, "write_through", False):
-            # a batch's lines may wait, even where PYTHONUNBUFFERED made stdout
-            # write each one through; restoring it flushes them, also on error
-            sys.stdout.reconfigure(write_through=False)
-            stack.callback(sys.stdout.reconfigure, write_through=True)
 
         def write_json(stream: IO[str], item: TunerRecord | WindowStats) -> None:
             stream.write(item.to_json() + "\n")
@@ -308,8 +319,8 @@ def _cmd_tune(args: argparse.Namespace, config: dict) -> int:
                 stream.flush()
 
         windows = windowize(read_events(lines), tuner_config.window_s, tuner_config.n_users)
-        if windows_out is not None:
-            sidecar = stack.enter_context(open(windows_out, "w", encoding="utf-8"))
+        if args.windows_out is not None:
+            sidecar = stack.enter_context(open(args.windows_out, "w", encoding="utf-8"))
             windows = _tee_windows(windows, sidecar, write_json)
         report = run_tuner(windows, tuner_config, sink, on_record=functools.partial(write_json, sys.stdout))
     state = report.final_state
@@ -331,6 +342,28 @@ def _open_out(path: str | None):
             yield handle
 
 
+# Each command: its handler, its help, and its settings with their defaults
+# (REQUIRED where there is none) in --help order.
+_MODEL = {"users": REQUIRED, "beta": REQUIRED, "xi": REQUIRED}
+_POLICY = {"expression": "auto", "large_n_threshold": DEFAULT_LARGE_N_THRESHOLD}
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, object]]] = {
+    "solve": (_cmd_solve, "timeout achieving a target failure probability",
+              {**_MODEL, **_POLICY, "eps": 0.1}),
+    "prob": (_cmd_prob, "failure probability at a given timeout", {**_MODEL, "timeout": REQUIRED}),
+    "bound": (_cmd_bound, "lowest achievable failure probability", {"users": REQUIRED, "xi": REQUIRED}),
+    "simulate": (_cmd_simulate, "Monte Carlo estimate of the failure probability",
+                 {**_MODEL, "timeout": REQUIRED, "trials": 100_000, "seed": 0}),
+    "sim-system": (_cmd_sim_system, "event-level simulation of the connection pool",
+                   {**_MODEL, "processes": 1, "process_life": 0, "idle_timeout": 0.0, "duration": REQUIRED,
+                    "seed": 0}),
+    "gen-log": (_cmd_gen_log, "synthesize an event log with known parameters",
+                {**_MODEL, "duration": REQUIRED, "seed": 0, "out": None}),
+    "tune": (_cmd_tune, "estimate parameters from an event log and publish timeouts",
+             {**_POLICY, "users": REQUIRED, "window": 1200.0, "eps": 0.1, "delta": 5.0,
+              "schedule": "harmonic", "sink": "stdout", "windows_out": None}),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -343,6 +376,12 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"config file {path!r} is not valid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path!r} must hold a JSON object")
+    unknown = sorted(data.keys() - SETTINGS.keys())
+    if unknown:
+        raise ValueError(
+            f"config file {path!r} has keys that name no setting: {', '.join(map(repr, unknown))} "
+            "(keys are the long flag names with underscores)"
+        )
     return data
 
 
@@ -355,119 +394,22 @@ def build_parser() -> argparse.ArgumentParser:
             "4 bad input data, 5 publish failure"
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON file supplying any flag by name")
-    common.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
-
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--users", type=int, help="population size N")
-    model.add_argument("--beta", type=float, help="per-user request rate, 1/s")
-    model.add_argument("--xi", type=float, help="marked-request probability in [0, 1]")
-
-    policy = argparse.ArgumentParser(add_help=False)
-    policy.add_argument(
-        "--expression",
-        choices=("auto", "exact", "large-n"),
-        help="inversion to use (default auto: exact up to the threshold)",
-    )
-    policy.add_argument(
-        "--large-n-threshold",
-        dest="large_n_threshold",
-        type=int,
-        help=f"population above which auto picks large-n (default {DEFAULT_LARGE_N_THRESHOLD})",
-    )
-
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p_solve = sub.add_parser(
-        "solve",
-        parents=[common, model, policy],
-        help="timeout achieving a target failure probability",
-    )
-    p_solve.add_argument("--eps", type=float, help=f"target failure probability (default {DEFAULT_EPS})")
-    p_solve.set_defaults(handler=_cmd_solve)
-
-    p_prob = sub.add_parser(
-        "prob", parents=[common, model], help="failure probability at a given timeout"
-    )
-    p_prob.add_argument("--timeout", type=float, help="idle timeout to evaluate, seconds")
-    p_prob.set_defaults(handler=_cmd_prob)
-
-    p_bound = sub.add_parser(
-        "bound", parents=[common], help="lowest achievable failure probability"
-    )
-    p_bound.add_argument("--users", type=int, help="population size N")
-    p_bound.add_argument("--xi", type=float, help="marked-request probability in [0, 1]")
-    p_bound.set_defaults(handler=_cmd_bound)
-
-    p_sim = sub.add_parser(
-        "simulate",
-        parents=[common, model],
-        help="Monte Carlo estimate of the failure probability",
-    )
-    p_sim.add_argument("--timeout", type=float, help="idle timeout to evaluate, seconds")
-    p_sim.add_argument("--trials", type=int, help=f"number of trials (default {DEFAULT_TRIALS})")
-    p_sim.add_argument("--seed", type=int, help="RNG seed (default env IDLETUNE_SEED, then 0)")
-    p_sim.set_defaults(handler=_cmd_simulate)
-
-    p_system = sub.add_parser(
-        "sim-system",
-        parents=[common, model],
-        help="event-level simulation of the connection pool",
-    )
-    p_system.add_argument("--processes", type=int, help="pooled child processes (default 1)")
-    p_system.add_argument(
-        "--process-life",
-        dest="process_life",
-        type=int,
-        help="requests served before a child respawns; 0 means never (default 0)",
-    )
-    p_system.add_argument(
-        "--idle-timeout",
-        dest="idle_timeout",
-        type=float,
-        help="server idle timeout under test, seconds; 0 means never drop (default 0)",
-    )
-    p_system.add_argument("--duration", type=float, help="simulated wall time, seconds")
-    p_system.add_argument("--seed", type=int, help="RNG seed (default env IDLETUNE_SEED, then 0)")
-    p_system.set_defaults(handler=_cmd_sim_system)
-
-    p_gen = sub.add_parser(
-        "gen-log",
-        parents=[common, model],
-        help="synthesize an event log with known parameters",
-    )
-    p_gen.add_argument("--duration", type=float, help="log span, seconds")
-    p_gen.add_argument("--seed", type=int, help="RNG seed (default env IDLETUNE_SEED, then 0)")
-    p_gen.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    p_gen.set_defaults(handler=_cmd_gen_log)
-
-    p_tune = sub.add_parser(
-        "tune",
-        parents=[common, policy],
-        help="estimate parameters from an event log and publish timeouts",
-    )
-    p_tune.add_argument("input", nargs="?", default="-", help="event-log path (default stdin)")
-    p_tune.add_argument("--users", type=int, help="population size N (not estimated)")
-    p_tune.add_argument("--window", type=float, help=f"averaging window, seconds (default {DEFAULT_WINDOW_S:g})")
-    p_tune.add_argument("--eps", type=float, help=f"target failure probability (default {DEFAULT_EPS})")
-    p_tune.add_argument("--delta", type=float, help=f"publish threshold, seconds (default {DEFAULT_DELTA_S:g})")
-    p_tune.add_argument(
-        "--schedule",
-        help="step sizes: harmonic, power:A with A in (0.5, 1], or constant:C (default harmonic)",
-    )
-    p_tune.add_argument(
-        "--sink",
-        help="publish target: stdout, file:PATH, ldif:PATH, or webhook:URL (default stdout)",
-    )
-    p_tune.add_argument(
-        "--windows-out",
-        dest="windows_out",
-        metavar="PATH",
-        help="also write per-window statistics to this file",
-    )
-    p_tune.set_defaults(handler=_cmd_tune)
-
+    for command, (_, summary, settings) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        if command == "tune":
+            p.add_argument("input", nargs="?", default="-", help="event-log path (default stdin)")
+        p.add_argument("--config", metavar=PATH, help="JSON file supplying any flag by name")
+        p.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
+        for name, default in settings.items():
+            kind, text = SETTINGS[name]
+            p.add_argument(
+                _flag(name),
+                type=kind if kind in (int, float) else str,
+                choices=kind if isinstance(kind, tuple) else None,
+                metavar=PATH if kind is PATH else None,
+                help=OWN_HELP.get((command, name), text).format(default),
+            )
     return parser
 
 
@@ -478,10 +420,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # output gathers into large writes even where PYTHONUNBUFFERED made stdout
+    # write each line through; restoring that is left until stdout is settled
+    stdout = sys.stdout
+    write_through = getattr(stdout, "write_through", False)
+    if write_through:
+        stdout.reconfigure(write_through=False)
     code = EXIT_OK
     try:
         try:
-            code = args.handler(args, _load_config(args.config))
+            _resolve(args, _load_config(args.config))
+            handler, _, _ = COMMANDS[args.command]
+            code = handler(args)
         except BrokenPipeError:
             raise  # a closed stdout, handled below rather than as an OSError
         except InfeasibleTargetError as exc:
@@ -507,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = EXIT_INPUT
             print(f"error: {exc}", file=sys.stderr)
         # a reader that closed stdout early surfaces here, not at exit
-        sys.stdout.flush()
+        stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (`| head -1`): stop quietly, with the code
         # of any error met first; with fd 1 on the null device, the
@@ -515,6 +465,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)
         os.close(devnull)
+    finally:
+        if write_through:
+            stdout.reconfigure(write_through=True)
     return code
 
 

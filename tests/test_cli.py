@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import select
 import subprocess
 import sys
@@ -232,6 +233,20 @@ class TestGenLog:
         )
         assert code == 0
         assert all(set(json.loads(line)) == {"ts", "kind"} for line in out.splitlines())
+
+    def test_coalesces_a_write_through_stdout(self, monkeypatch):
+        # PYTHONUNBUFFERED opens stdout write-through, one write(2) per event;
+        # the log must go out in large writes, and the stream be as it was after
+        raw = CountingRaw()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr("sys.stdout", stdout)
+        code = main(
+            ["gen-log", "--users", "50", "--beta", "0.01", "--xi", "0.3", "--duration", "30000", "--seed", "11"]
+        )
+        assert code == 0
+        assert len(raw.data.decode().splitlines()) > 10_000
+        assert raw.writes <= len(raw.data) // 4096 + 1
+        assert stdout.write_through is True
 
 
 @pytest.fixture()
@@ -486,6 +501,30 @@ class TestClosedStdout:
         for word in ("Traceback", "Exception ignored"):
             assert word not in result.stderr, result.stderr
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_a_bad_line_outlives_a_closed_stdout(self, tmp_path, unbuffered):
+        # the records before the bad line fit in stdout's buffer, so the closed
+        # pipe is met only after tune has stopped on the bad line
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(seeded_log(3, 20) + "not json\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [*CLI, "tune", str(bad), "--users", "50", "--window", "60"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 4
+        assert result.stderr.startswith("error: line 21:")
+        for word in ("Traceback", "Exception ignored"):
+            assert word not in result.stderr, result.stderr
+
     def test_a_closed_sidecar_is_still_an_error(self, tmp_path, event_log):
         # unlike a closed stdout, a sidecar whose reader went away must not end the run quietly
         fifo = tmp_path / "windows.fifo"
@@ -596,6 +635,27 @@ def seeded_log(seed: int, n_events: int) -> str:
     return "".join(lines)
 
 
+# for each command, every setting it takes, each off its default but tune's
+# expression, which is left at auto so that large_n_threshold acts
+EVERY_SETTING = {
+    "solve": {
+        "users": 600, "beta": 1e-3, "xi": 0.01, "expression": "exact", "large_n_threshold": 100, "eps": 0.2,
+    },
+    "prob": {"users": 150, "beta": 1.39e-3, "xi": 0.1338, "timeout": 60.0},
+    "bound": {"users": 9, "xi": 0.3},
+    "simulate": {"users": 20, "beta": 0.01, "xi": 0.3, "timeout": 50.0, "trials": 2000, "seed": 5},
+    "sim-system": {
+        "users": 10, "beta": 0.1, "xi": 0.5, "processes": 2, "process_life": 50, "idle_timeout": 10.0,
+        "duration": 500.0, "seed": 4,
+    },
+    "gen-log": {"users": 20, "beta": 0.01, "xi": 0.3, "duration": 1000.0, "seed": 8, "out": "{dir}/log.jsonl"},
+    "tune": {
+        "expression": "auto", "large_n_threshold": 10, "users": 50, "window": 300.0, "eps": 0.2, "delta": 0.5,
+        "schedule": "constant:0.5", "sink": "ldif:{dir}/update.ldif", "windows_out": "{dir}/windows.jsonl",
+    },
+}
+
+
 class TestConfigFile:
     def test_supplies_missing_flags(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -649,6 +709,75 @@ class TestConfigFile:
         records = [r for r in stdout_records(out) if "published" in r]
         assert len(records) > 10
         assert len(sidecar.read_text().splitlines()) == len(records)
+
+    @pytest.mark.parametrize(
+        "command, key, value", [("tune", "sink", 5), ("gen-log", "out", 2), ("tune", "windows_out", 1)]
+    )
+    def test_a_value_of_the_wrong_type_is_a_usage_error(self, tmp_path, command, key, value):
+        # in a child process: before the check, out=2 wrote to and closed fd 2
+        log = tmp_path / "events.jsonl"
+        log.write_text(seeded_log(5, 50))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        argv = {
+            "tune": ["tune", str(log), "--users", "50"],
+            "gen-log": ["gen-log", "--users", "5", "--beta", "0.1", "--xi", "0.5", "--duration", "100"],
+        }[command]
+        result = subprocess.run(
+            [*CLI, *argv, "--config", str(config)], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: --{key.replace('_', '-')} must be a string, got {value}\n"
+
+    @pytest.mark.parametrize("key", ["large-n-threshold", "verbose", "config", "input"])
+    def test_a_key_that_names_no_setting_is_a_usage_error(self, capsys, tmp_path, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"large_n_threshold": 100, key: 100}))
+        code, out, err = run_cli(capsys, "solve", "--config", str(config), *N150_FLAGS)
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
+    def test_a_key_of_another_command_is_accepted(self, capsys, tmp_path):
+        # one file serves every command
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"large_n_threshold": 100, "sink": "stdout", "seed": 3, "out": "x.jsonl"}))
+        code, out, _ = run_cli(capsys, "solve", "--config", str(config), *N150_FLAGS)
+        assert code == 0
+        assert stdout_records(out)[0]["expression"] == "large-n"
+
+    @pytest.mark.parametrize("command", list(EVERY_SETTING))
+    def test_a_file_with_every_setting_acts_as_the_flags_do(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = capsys.readouterr().out
+        taken = set(re.findall(r"^  (?:-\w, )?--([\w-]+)", help_text, re.M)) - {"help", "config", "verbose"}
+        assert taken == {name.replace("_", "-") for name in EVERY_SETTING[command]}
+        log = tmp_path / "events.jsonl"
+        log.write_text(seeded_log(7, 400))
+        head = [command, str(log)] if command == "tune" else [command]
+        results = []
+        for how in ("flags", "config"):
+            work = tmp_path / how
+            work.mkdir()
+            settings = {
+                name: value.format(dir=work) if isinstance(value, str) else value
+                for name, value in EVERY_SETTING[command].items()
+            }
+            if how == "flags":
+                argv = [*head]
+                for name, value in settings.items():
+                    argv += [f"--{name.replace('_', '-')}", str(value)]
+            else:
+                config = tmp_path / "cfg.json"
+                config.write_text(json.dumps(settings))
+                argv = [*head, "--config", str(config)]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            files = {path.name: path.read_bytes() for path in work.iterdir()}
+            results.append((out, err, files))
+        assert results[0] == results[1]
+        assert results[0][0] or results[0][2]
 
     def test_unreadable_config_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "solve", "--config", str(tmp_path / "nope.json"))

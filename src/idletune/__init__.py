@@ -13,53 +13,15 @@ bare ``import idletune`` does not import numpy.
 
 import importlib
 
-from .errors import (
-    CannotInitializeError,
-    IdletuneError,
-    InfeasibleTargetError,
-    ParseError,
-    SequencingError,
-    SinkError,
-)
-from .estimator import (
-    EstimatorState,
-    ScheduleKind,
-    StepSchedule,
-    TunerConfig,
-    TunerRecord,
-    TunerReport,
-    init_state,
-    recommend,
-    run_tuner,
-    should_publish,
-    step_size,
-    update,
-)
-from .ingest import (
-    REORDER_TOLERANCE_S,
-    Event,
-    EventKind,
-    WindowStats,
-    parse_event,
-    read_events,
-    windowize,
-)
-from .model import (
-    Expression,
-    ModelParams,
-    SolverPolicy,
-    TimeoutSolution,
-    failure_probability,
-    feasibility_bound,
-    solve_timeout,
-    solve_timeout_exact,
-    solve_timeout_large_n,
-    state_probability,
-)
-from .sinks import FileSink, LdifSink, StdoutSink, WebhookSink, make_sink
+from .errors import *
+from .model import *
+from .ingest import *
+from .estimator import *
+from .sinks import *
 
 __version__ = "0.1.0"
 
+# simulate.__all__, which cannot be read here without importing numpy
 _SIMULATE_NAMES = frozenset(
     ["SimResult", "SystemConfig", "SystemReport", "generate_event_log", "simulate_failure_prob",
      "simulate_system"]
@@ -75,52 +37,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "IdletuneError",
-    "InfeasibleTargetError",
-    "ParseError",
-    "SequencingError",
-    "CannotInitializeError",
-    "SinkError",
-    "ModelParams",
-    "Expression",
-    "SolverPolicy",
-    "TimeoutSolution",
-    "state_probability",
-    "failure_probability",
-    "feasibility_bound",
-    "solve_timeout_exact",
-    "solve_timeout_large_n",
-    "solve_timeout",
-    "REORDER_TOLERANCE_S",
-    "Event",
-    "EventKind",
-    "WindowStats",
-    "parse_event",
-    "read_events",
-    "windowize",
-    "ScheduleKind",
-    "StepSchedule",
-    "step_size",
-    "EstimatorState",
-    "TunerConfig",
-    "init_state",
-    "update",
-    "recommend",
-    "should_publish",
-    "TunerRecord",
-    "TunerReport",
-    "run_tuner",
-    "SimResult",
-    "SystemConfig",
-    "SystemReport",
-    "simulate_failure_prob",
-    "simulate_system",
-    "generate_event_log",
-    "StdoutSink",
-    "FileSink",
-    "LdifSink",
-    "WebhookSink",
-    "make_sink",
-    "__version__",
-]
+__all__ = (
+    errors.__all__ + model.__all__ + ingest.__all__ + estimator.__all__ + sorted(_SIMULATE_NAMES)
+    + sinks.__all__ + ["__version__"]
+)

@@ -27,6 +27,7 @@ import contextlib
 import functools
 import json
 import logging
+import math
 import os
 import stat
 import sys
@@ -66,27 +67,38 @@ PATH = "PATH"  # a string setting that names a file
 REQUIRED = object()  # the default of a setting that must be given
 
 # Every setting once: its type (int, float, str, PATH, or a tuple of
-# choices) and its help text, in which "{}" stands for the default.
-SETTINGS: dict[str, tuple[object, str]] = {
-    "users": (int, "population size N"),
-    "beta": (float, "per-user request rate, 1/s"),
-    "xi": (float, "marked-request probability in [0, 1]"),
-    "expression": (("auto", "exact", "large-n"), "inversion to use (default {}: exact up to the threshold)"),
-    "large_n_threshold": (int, "population above which auto picks large-n (default {})"),
-    "eps": (float, "target failure probability (default {})"),
-    "timeout": (float, "idle timeout to evaluate, seconds"),
-    "trials": (int, "number of trials (default {})"),
-    "seed": (int, "RNG seed (default env IDLETUNE_SEED, then {})"),
-    "processes": (int, "pooled child processes (default {})"),
-    "process_life": (int, "requests served before a child respawns; 0 means never (default {})"),
-    "idle_timeout": (float, "server idle timeout under test, seconds; 0 means never drop (default {:g})"),
-    "duration": (float, "log span, seconds"),
-    "out": (PATH, "output file (default stdout)"),
-    "window": (float, "averaging window, seconds (default {:g})"),
-    "delta": (float, "publish threshold, seconds (default {:g})"),
-    "schedule": (str, "step sizes: harmonic, power:A with A in (0.5, 1], or constant:C (default {})"),
-    "sink": (str, "publish target: stdout, file:PATH, ldif:PATH, or webhook:URL (default {})"),
-    "windows_out": (PATH, "also write per-window statistics to this file"),
+# choices), the range a number must lie in (a key of RANGES, or None), and
+# its help text, in which "{}" stands for the default.  The ranges are the
+# library's own, so that a bad value is reported under the flag's name.
+SETTINGS: dict[str, tuple[object, str | None, str]] = {
+    "users": (int, ">= 1", "population size N"),
+    "beta": (float, "positive and finite", "per-user request rate, 1/s"),
+    "xi": (float, "in [0, 1]", "marked-request probability in [0, 1]"),
+    "expression": (("auto", "exact", "large-n"), None, "inversion to use (default {}: exact up to the threshold)"),
+    "large_n_threshold": (int, ">= 1", "population above which auto picks large-n (default {})"),
+    "eps": (float, "in (0, 1)", "target failure probability (default {})"),
+    "timeout": (float, ">= 0", "idle timeout to evaluate, seconds"),
+    "trials": (int, ">= 1", "number of trials (default {})"),
+    "seed": (int, ">= 0", "RNG seed (default env IDLETUNE_SEED, then {})"),
+    "processes": (int, ">= 1", "pooled child processes (default {})"),
+    "process_life": (int, ">= 0", "requests served before a child respawns; 0 means never (default {})"),
+    "idle_timeout": (float, ">= 0", "server idle timeout under test, seconds; 0 means never drop (default {:g})"),
+    "duration": (float, "positive and finite", "log span, seconds"),
+    "out": (PATH, None, "output file (default stdout)"),
+    "window": (float, "positive and finite", "averaging window, seconds (default {:g})"),
+    "delta": (float, ">= 0", "publish threshold, seconds (default {:g})"),
+    "schedule": (str, None, "step sizes: harmonic, power:A with A in (0.5, 1], or constant:C (default {})"),
+    "sink": (str, None, "publish target: stdout, file:PATH, ldif:PATH, or webhook:URL (default {})"),
+    "windows_out": (PATH, None, "also write per-window statistics to this file"),
+}
+
+# each range a setting may name, with its test; NaN passes none of them
+RANGES: dict[str, Callable[[float], bool]] = {
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    "positive and finite": lambda x: 0 < x < math.inf,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in (0, 1)": lambda x: 0 < x < 1,
 }
 
 # the two places where a command words a shared setting its own way
@@ -129,14 +141,14 @@ def _as_float(flag: str, value) -> float:
 
 
 def _checked(name: str, value):
-    """``value`` as setting ``name``'s type, or ValueError naming its flag."""
-    kind, _ = SETTINGS[name]
+    """``value`` as setting ``name``'s type, in its range, or ValueError naming its flag."""
+    kind, bounds, _ = SETTINGS[name]
     flag = _flag(name)
-    if kind is int:
-        return _as_int(flag, value)
-    if kind is float:
-        return _as_float(flag, value)
-    if isinstance(kind, tuple):
+    if kind in (int, float):
+        value = _as_int(flag, value) if kind is int else _as_float(flag, value)
+        if not RANGES[bounds](value):
+            raise ValueError(f"{flag} must be {bounds}, got {value!r}")
+    elif isinstance(kind, tuple):
         if value not in kind:
             raise ValueError(f"{flag} must be {', '.join(kind[:-1])}, or {kind[-1]}, got {value!r}")
     elif not isinstance(value, str):
@@ -296,7 +308,6 @@ def _is_regular_file(stream) -> bool:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     tuner_config = TunerConfig(
-        window_s=args.window,
         target_eps=args.eps,
         n_users=args.users,
         publish_delta_s=args.delta,
@@ -318,7 +329,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             if live:
                 stream.flush()
 
-        windows = windowize(read_events(lines), tuner_config.window_s, tuner_config.n_users)
+        windows = windowize(read_events(lines), args.window, args.users)
         if args.windows_out is not None:
             sidecar = stack.enter_context(open(args.windows_out, "w", encoding="utf-8"))
             windows = _tee_windows(windows, sidecar, write_json)
@@ -402,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar=PATH, help="JSON file supplying any flag by name")
         p.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
         for name, default in settings.items():
-            kind, text = SETTINGS[name]
+            kind, _, text = SETTINGS[name]
             p.add_argument(
                 _flag(name),
                 type=kind if kind in (int, float) else str,

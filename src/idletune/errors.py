@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "IdletuneError",
+    "InfeasibleTargetError",
+    "ParseError",
+    "SequencingError",
+    "CannotInitializeError",
+    "SinkError",
+]
+
 
 class IdletuneError(Exception):
     """Base class for errors raised by this package."""

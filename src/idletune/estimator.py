@@ -126,9 +126,8 @@ class EstimatorState:
 
 @dataclass(frozen=True)
 class TunerConfig:
-    """Loop parameters: window length, target, population, publish gate."""
+    """Loop parameters: target, population, publish gate, steps and solver."""
 
-    window_s: float
     target_eps: float
     n_users: int
     publish_delta_s: float = 5.0
@@ -136,8 +135,6 @@ class TunerConfig:
     solver_policy: SolverPolicy = SolverPolicy()
 
     def __post_init__(self) -> None:
-        if not self.window_s > 0.0:
-            raise ValueError(f"window_s must be positive, got {self.window_s!r}")
         if not 0.0 < self.target_eps < 1.0:
             raise ValueError(f"target_eps must lie in (0, 1), got {self.target_eps!r}")
         _check_n_users(self.n_users)

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from idletune import ModelParams, solve_timeout
-from idletune.cli import main
+from idletune.cli import SETTINGS, main
 
 
 def run_cli(capsys, *argv):
@@ -304,8 +304,9 @@ class TestTune:
         assert sum(r["published"] for r in records) == 1
 
     def test_reads_stdin_by_default(self, capsys, monkeypatch, event_log):
-        monkeypatch.setattr("sys.stdin", event_log.open())
-        code, out, _ = run_cli(capsys, "tune", "--users", "50", "--window", "600")
+        with event_log.open() as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, _ = run_cli(capsys, "tune", "--users", "50", "--window", "600")
         assert code == 0
         assert len(stdout_records(out)) > 10
 
@@ -788,6 +789,87 @@ class TestConfigFile:
         config.write_text("{not json")
         code, _, _ = run_cli(capsys, "solve", "--config", str(config))
         assert code == 2
+
+
+# the settings each command requires (and few trials), at values it runs on
+REQUIRED = {
+    "bound": {"users": 5, "xi": 0.5},
+    "solve": {"users": 5, "beta": 0.1, "xi": 0.5},
+    "prob": {"users": 5, "beta": 0.1, "xi": 0.5, "timeout": 1.0},
+    "simulate": {"users": 5, "beta": 0.1, "xi": 0.5, "timeout": 1.0, "trials": 100},
+    "sim-system": {"users": 5, "beta": 0.1, "xi": 0.5, "duration": 10.0},
+    "gen-log": {"users": 5, "beta": 0.1, "xi": 0.5, "duration": 10.0},
+    "tune": {"users": 5},
+}
+
+# for each ranged setting: a command that takes it and a value outside its range
+OUT_OF_RANGE = {
+    "users": ("bound", 0),
+    "beta": ("solve", 0.0),
+    "xi": ("bound", 1.5),
+    "large_n_threshold": ("solve", 0),
+    "eps": ("solve", 1.0),
+    "timeout": ("prob", -1.0),
+    "trials": ("simulate", 0),
+    "seed": ("simulate", -1),
+    "processes": ("sim-system", 0),
+    "process_life": ("sim-system", -3),
+    "idle_timeout": ("sim-system", -1.0),
+    "duration": ("gen-log", 0.0),
+    "window": ("tune", 0.0),
+    "delta": ("tune", -1.0),
+}
+
+# values that no range admits, or that a positive and finite one does not
+NOT_FINITE = [("beta", "inf"), ("duration", "inf"), ("window", "inf"), ("xi", "nan"), ("timeout", "nan")]
+
+
+def range_argv(command: str, name: str, value, tmp_path, how: str) -> list[str]:
+    """``command`` with its required settings as flags and ``name`` set to ``value``."""
+    settings = {key: val for key, val in REQUIRED[command].items() if key != name}
+    argv = [command, str(tmp_path / "events.jsonl")] if command == "tune" else [command]
+    for key, val in settings.items():
+        argv += [f"--{key.replace('_', '-')}", str(val)]
+    if how == "flag":
+        return [*argv, f"--{name.replace('_', '-')}", str(value)]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({name: float(value) if isinstance(value, str) else value}))
+    return [*argv, "--config", str(config)]
+
+
+class TestRanges:
+    def test_every_ranged_setting_is_covered(self):
+        assert set(OUT_OF_RANGE) == {name for name, (_, bounds, _) in SETTINGS.items() if bounds}
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "name, value", [(name, value) for name, (_, value) in OUT_OF_RANGE.items()] + NOT_FINITE
+    )
+    def test_an_out_of_range_value_is_a_usage_error_naming_the_flag(self, capsys, tmp_path, name, value, how):
+        command = OUT_OF_RANGE[name][0]
+        (tmp_path / "events.jsonl").write_text(seeded_log(3, 50))
+        code, out, err = run_cli(capsys, *range_argv(command, name, value, tmp_path, how))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --{name.replace('_', '-')} must be "), err
+
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [
+            ("sim-system", "process_life", 0),
+            ("prob", "timeout", 0.0),
+            ("tune", "delta", 0.0),
+            ("sim-system", "idle_timeout", 0.0),
+            ("simulate", "seed", 0),
+            ("solve", "xi", 1.0),
+        ],
+    )
+    def test_a_boundary_value_runs(self, capsys, tmp_path, command, name, value):
+        (tmp_path / "events.jsonl").write_text(seeded_log(3, 50))
+        for how in ("flag", "config"):
+            code, out, err = run_cli(capsys, *range_argv(command, name, value, tmp_path, how))
+            assert code == 0, err
+            assert out
 
 
 IMPORT_PROBE = """

@@ -163,25 +163,25 @@ class TestUpdate:
 class TestRecommend:
     def test_known_point_n150(self):
         state = EstimatorState(5, 0.1338, 1.39e-3)
-        config = TunerConfig(window_s=600.0, target_eps=0.1, n_users=150)
+        config = TunerConfig(target_eps=0.1, n_users=150)
         solution = recommend(state, config)
         assert solution.timeout_s == pytest.approx(87.03, rel=0.01)
 
     def test_known_point_n10k(self):
         state = EstimatorState(5, 0.5887, 0.06)
-        config = TunerConfig(window_s=600.0, target_eps=0.1, n_users=10_000)
+        config = TunerConfig(target_eps=0.1, n_users=10_000)
         solution = recommend(state, config)
         assert solution.timeout_s == pytest.approx(0.0065, rel=0.03)
 
     def test_zero_estimate_is_infeasible(self):
         state = EstimatorState(0, 0.0, 0.001)
-        config = TunerConfig(window_s=600.0, target_eps=0.1, n_users=150)
+        config = TunerConfig(target_eps=0.1, n_users=150)
         with pytest.raises(InfeasibleTargetError):
             recommend(state, config)
 
     def test_infeasible_error_names_the_estimates(self):
         state = EstimatorState(2, 0.01, 0.001)
-        config = TunerConfig(window_s=600.0, target_eps=1e-9, n_users=5)
+        config = TunerConfig(target_eps=1e-9, n_users=5)
         with pytest.raises(InfeasibleTargetError) as err:
             recommend(state, config)
         assert "xi_hat" in str(err.value)
@@ -218,7 +218,7 @@ class _FlakySink:
 
 class TestRunTuner:
     def config(self, delta: float = 5.0, eps: float = 0.1) -> TunerConfig:
-        return TunerConfig(window_s=1000.0, target_eps=eps, n_users=50, publish_delta_s=delta)
+        return TunerConfig(target_eps=eps, n_users=50, publish_delta_s=delta)
 
     def test_single_window_publishes_once(self):
         seen: list = []
@@ -368,7 +368,7 @@ class TestRunTuner:
             total_requests += n_req
             total_marked += n_marked
             windows.append(WindowStats.from_counts(window_s * i, window_s, n_req, n_marked, n_users))
-        report = run_tuner(windows, TunerConfig(window_s=window_s, target_eps=0.1, n_users=n_users))
+        report = run_tuner(windows, TunerConfig(target_eps=0.1, n_users=n_users))
         se = math.sqrt(true_xi * (1 - true_xi) / total_requests)
         assert abs(report.final_state.xi_hat - true_xi) <= 4 * se
 
@@ -377,13 +377,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(window_s=0.0, target_eps=0.1, n_users=10),
-            dict(window_s=600.0, target_eps=0.0, n_users=10),
-            dict(window_s=600.0, target_eps=1.0, n_users=10),
-            dict(window_s=600.0, target_eps=0.1, n_users=0),
-            dict(window_s=600.0, target_eps=0.1, n_users=150.5),
-            dict(window_s=600.0, target_eps=0.1, n_users=True),
-            dict(window_s=600.0, target_eps=0.1, n_users=10, publish_delta_s=-1.0),
+            dict(target_eps=0.0, n_users=10),
+            dict(target_eps=1.0, n_users=10),
+            dict(target_eps=0.1, n_users=0),
+            dict(target_eps=0.1, n_users=150.5),
+            dict(target_eps=0.1, n_users=True),
+            dict(target_eps=0.1, n_users=10, publish_delta_s=-1.0),
         ],
     )
     def test_rejects_invalid(self, kwargs):

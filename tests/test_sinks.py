@@ -131,6 +131,7 @@ def webhook_server():
     yield f"http://127.0.0.1:{server.server_port}/hook", _RecordingHandler
     server.shutdown()
     thread.join(timeout=5)
+    server.server_close()
 
 
 class TestWebhookSink:

@@ -41,7 +41,7 @@ from .errors import (
     SinkError,
 )
 from .estimator import StepSchedule, TunerConfig, TunerRecord, run_tuner
-from .ingest import WindowStats, read_events, windowize
+from .ingest import WindowStats, format_event, read_events, windowize
 from .model import (
     DEFAULT_LARGE_N_THRESHOLD,
     Expression,
@@ -140,19 +140,19 @@ def _as_float(flag: str, value) -> float:
     raise ValueError(f"{flag} must be a number, got {value!r}")
 
 
-def _checked(name: str, value):
-    """``value`` as setting ``name``'s type, in its range, or ValueError naming its flag."""
+def _checked(name: str, value, source: str):
+    """``value`` as setting ``name``'s type, in its range, or ValueError naming
+    ``source``: its flag, or the environment variable it came from."""
     kind, bounds, _ = SETTINGS[name]
-    flag = _flag(name)
     if kind in (int, float):
-        value = _as_int(flag, value) if kind is int else _as_float(flag, value)
+        value = _as_int(source, value) if kind is int else _as_float(source, value)
         if not RANGES[bounds](value):
-            raise ValueError(f"{flag} must be {bounds}, got {value!r}")
+            raise ValueError(f"{source} must be {bounds}, got {value!r}")
     elif isinstance(kind, tuple):
         if value not in kind:
-            raise ValueError(f"{flag} must be {', '.join(kind[:-1])}, or {kind[-1]}, got {value!r}")
+            raise ValueError(f"{source} must be {', '.join(kind[:-1])}, or {kind[-1]}, got {value!r}")
     elif not isinstance(value, str):
-        raise ValueError(f"{flag} must be a string, got {value!r}")
+        raise ValueError(f"{source} must be a string, got {value!r}")
     return value
 
 
@@ -161,13 +161,15 @@ def _resolve(args: argparse.Namespace, config: dict) -> None:
     the config file, else (seed only) IDLETUNE_SEED, else its default."""
     _, _, settings = COMMANDS[args.command]
     for name, default in settings.items():
+        source = _flag(name)
         value = getattr(args, name)
         if value is None:
             value = config.get(name)
         if value is None and name == "seed":
             value = os.environ.get(SEED_ENV_VAR)
+            source = SEED_ENV_VAR
         if value is not None:
-            value = _checked(name, value)
+            value = _checked(name, value, source)
         elif default is REQUIRED:
             raise ValueError(f"missing required setting {_flag(name)} (flag or config file)")
         else:
@@ -277,8 +279,8 @@ def _cmd_gen_log(args: argparse.Namespace) -> int:
 
     count = 0
     with _open_out(args.out) as handle:
-        for event in generate_event_log(_model_params(args), args.duration, args.seed):
-            handle.write(event.to_json() + "\n")
+        for ts, is_bind in generate_event_log(_model_params(args), args.duration, args.seed):
+            handle.write(format_event(ts, is_bind) + "\n")
             count += 1
     print(f"wrote {count} events (seed {args.seed})", file=sys.stderr)
     return EXIT_OK

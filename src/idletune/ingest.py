@@ -5,7 +5,11 @@ proxy request: ``{"ts": <seconds>, "kind": "request"|"bind"}``.  A
 ``bind`` line is a request that opened a directory connection, so it
 counts toward both the request total and the marked total.
 
-The canonical line is exactly what :meth:`Event.to_json` writes:
+Events stream as ``(ts, is_bind)`` pairs: :func:`read_events` yields
+them and :func:`windowize` counts them.  :func:`parse_event` checks a
+single line and returns an :class:`Event`.
+
+The canonical line is exactly what :func:`format_event` writes:
 ``{"ts": <float repr>, "kind": "<kind>"}`` with that spacing and key
 order.  :func:`read_events` decodes it without ``json.loads``.
 """
@@ -28,6 +32,7 @@ __all__ = [
     "EventKind",
     "Event",
     "parse_event",
+    "format_event",
     "read_events",
     "WindowStats",
     "windowize",
@@ -60,22 +65,8 @@ class Event:
             raise ValueError(f"kind must be an EventKind, got {self.kind!r}")
         object.__setattr__(self, "ts", float(self.ts))
 
-    @classmethod
-    def _unchecked(cls, ts: float, kind: EventKind) -> Event:
-        """Build an event from a finite float ``ts >= 0`` without the checks.
-
-        Fills the frozen instance's ``__dict__`` as the generated
-        ``__init__`` would, so it must list the same fields as the class.
-        """
-        ev = object.__new__(cls)
-        fields = ev.__dict__
-        fields["ts"] = ts
-        fields["kind"] = kind
-        return ev
-
     def to_json(self) -> str:
-        # the canonical line; read_events decodes it on its fast path
-        return '{"ts": %r, "kind": "%s"}' % (self.ts, self.kind.value)
+        return format_event(self.ts, self.kind is EventKind.BIND)
 
 
 def parse_event(line: str, line_no: int = 0) -> Event:
@@ -114,19 +105,22 @@ _CANONICAL_LINE = re.compile(
     r'\{"ts": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
     r'"kind": "(request|bind)"\}[ \t\n\r]*'
 )
-_KINDS = {kind.value: kind for kind in EventKind}
 
 
-def read_events(lines: Iterable[str]) -> Iterator[Event]:
-    """Parse an iterable of log lines, skipping blank ones.
+def format_event(ts: float, is_bind: bool) -> str:
+    """The canonical line for one event, without its newline; read_events
+    decodes it on its fast path."""
+    return '{"ts": %r, "kind": "%s"}' % (ts, "bind" if is_bind else "request")
+
+
+def read_events(lines: Iterable[str]) -> Iterator[tuple[float, bool]]:
+    """Parse log lines into ``(ts, is_bind)`` pairs, skipping blank ones.
 
     Line numbers reported in errors are 1-based positions in the iterable.
     Canonical lines take a fast path with the same result as
     :func:`parse_event`; every other line goes through it.
     """
     match = _CANONICAL_LINE.fullmatch
-    unchecked = Event._unchecked
-    kinds = _KINDS
     inf = math.inf
     for line_no, line in enumerate(lines, start=1):
         try:
@@ -137,11 +131,12 @@ def read_events(lines: Iterable[str]) -> Iterator[Event]:
             ts = float(m[1])
             if ts < inf:
                 # the pattern admits only ts >= 0, so a finite match
-                # already passes Event's checks
-                yield unchecked(ts, kinds[m[2]])
+                # already passes parse_event's checks
+                yield ts, m[2] == "bind"
                 continue
         if line.strip():
-            yield parse_event(line, line_no)
+            event = parse_event(line, line_no)
+            yield event.ts, event.kind is EventKind.BIND
 
 
 @dataclass(frozen=True)
@@ -209,12 +204,15 @@ class WindowStats:
 
 
 def windowize(
-    events: Iterable[Event],
+    events: Iterable[tuple[float, bool]],
     window_s: float,
     n_users: int,
     tolerance_s: float = REORDER_TOLERANCE_S,
 ) -> Iterator[WindowStats]:
-    """Aggregate a time-ordered event stream into contiguous windows.
+    """Aggregate a time-ordered stream of ``(ts, is_bind)`` pairs into contiguous windows.
+
+    Each ``ts`` must be a finite float >= 0, as :func:`read_events` and
+    ``generate_event_log`` yield it; the pairs are not checked here.
 
     Windows are half-open intervals [anchor + i*T, anchor + (i+1)*T)
     anchored at the first event's timestamp.  Every elapsed window is
@@ -236,11 +234,10 @@ def windowize(
     first = next(it, None)
     if first is None:
         return
-    anchor = first.ts
-    max_ts = first.ts
-    bind = EventKind.BIND
+    anchor, first_bind = first
+    max_ts = anchor
     # window index -> [n_requests, n_marked]
-    counts: dict[int, list[int]] = {0: [1, int(first.kind is bind)]}
+    counts: dict[int, list[int]] = {0: [1, 1 if first_bind else 0]}
     next_emit = 0
     # a window is safe to close once no in-tolerance event can reach it
     close_at = anchor + window_s + tolerance_s
@@ -251,8 +248,7 @@ def windowize(
             anchor + idx * window_s, window_s, n_requests, n_marked, n_users
         )
 
-    for ev in it:
-        ts = ev.ts
+    for ts, is_bind in it:
         if ts < max_ts - tolerance_s:
             raise SequencingError(
                 f"timestamp {ts} regresses {max_ts - ts:.6g}s behind the newest "
@@ -267,7 +263,7 @@ def windowize(
         if cell is None:
             cell = counts[idx] = [0, 0]
         cell[0] += 1
-        if ev.kind is bind:
+        if is_bind:
             cell[1] += 1
         if ts > max_ts:
             max_ts = ts

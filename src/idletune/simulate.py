@@ -2,7 +2,9 @@
 
 All three entry points draw from numpy's PCG64 through SeedSequence
 substreams spawned from a single master seed, so results are reproducible
-bit-for-bit and independent of chunking.
+bit-for-bit and independent of chunking.  The synthetic log is a stream
+of ``(ts, is_bind)`` pairs, the shape :func:`idletune.ingest.windowize`
+counts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .ingest import Event, EventKind
 from .model import ModelParams
 
 __all__ = [
@@ -33,12 +34,14 @@ _TRIAL_CHUNK = 1 << 16
 _EVENT_CHUNK = 1 << 12
 
 
-def _check_seed(seed: int) -> int:
+def _streams(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """``n`` independent PCG64 generators spawned from ``SeedSequence(seed)``."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+    children = np.random.SeedSequence(seed).spawn(n)
+    return (np.random.Generator(np.random.PCG64(child)) for child in children)
 
 
 @dataclass(frozen=True)
@@ -84,15 +87,12 @@ def simulate_failure_prob(
         raise ValueError(f"timeout_s must be >= 0, got {timeout_s!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_seed(seed)
     p_fire = -math.expm1(-params.beta * timeout_s)
-    n_chunks = -(-trials // _TRIAL_CHUNK)
     failures = 0
     remaining = trials
-    for child in np.random.SeedSequence(seed).spawn(n_chunks):
+    for rng in _streams(seed, -(-trials // _TRIAL_CHUNK)):
         size = min(_TRIAL_CHUNK, remaining)
         remaining -= size
-        rng = np.random.Generator(np.random.PCG64(child))
         fired = rng.binomial(params.n_users, p_fire, size=size)
         marked = rng.binomial(fired, params.xi)
         failures += int(np.count_nonzero(marked == 0))
@@ -184,11 +184,7 @@ def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
     which makes the gap sequence independent of the timeout under a fixed
     seed: raising the timeout can only reclassify failures as successes.
     """
-    _check_seed(seed)
-    seq_arrivals, seq_marks, seq_dispatch = np.random.SeedSequence(seed).spawn(3)
-    rng_arrivals = np.random.Generator(np.random.PCG64(seq_arrivals))
-    rng_marks = np.random.Generator(np.random.PCG64(seq_marks))
-    rng_dispatch = np.random.Generator(np.random.PCG64(seq_dispatch))
+    rng_arrivals, rng_marks, rng_dispatch = _streams(seed, 3)
 
     # connections are established at startup, so idle timers start at t=0
     last_use = [0.0] * config.n_processes
@@ -235,8 +231,9 @@ def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
     )
 
 
-def generate_event_log(params: ModelParams, duration_s: float, seed: int) -> Iterator[Event]:
-    """Yield a synthetic request stream with known ground-truth parameters.
+def generate_event_log(params: ModelParams, duration_s: float, seed: int) -> Iterator[tuple[float, bool]]:
+    """Yield a synthetic request stream of ``(ts, is_bind)`` pairs with known
+    ground-truth parameters.
 
     Arrivals form the aggregate Poisson stream of n_users independent
     per-user streams at rate beta; each event is independently a bind with
@@ -244,16 +241,8 @@ def generate_event_log(params: ModelParams, duration_s: float, seed: int) -> Ite
     """
     if not (duration_s > 0.0 and math.isfinite(duration_s)):
         raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
-    _check_seed(seed)
-    seq_arrivals, seq_marks = np.random.SeedSequence(seed).spawn(2)
-    rng_arrivals = np.random.Generator(np.random.PCG64(seq_arrivals))
-    rng_marks = np.random.Generator(np.random.PCG64(seq_marks))
+    rng_arrivals, rng_marks = _streams(seed, 2)
     for times in _arrival_batches(rng_arrivals, params.n_users * params.beta, duration_s):
-        n = len(times)
-        if n == 0:
-            continue
-        marks = rng_marks.random(size=n) < params.xi
-        for i in range(n):
-            kind = EventKind.BIND if marks[i] else EventKind.REQUEST
-            # numpy's arrival times are already finite and >= 0
-            yield Event._unchecked(float(times[i]), kind)
+        marks = rng_marks.random(size=len(times)) < params.xi
+        # Python floats and bools: a numpy scalar's %r would change format_event's line
+        yield from zip(times.tolist(), marks.tolist())

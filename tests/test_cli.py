@@ -172,6 +172,22 @@ class TestSimulate:
         )
         assert stdout_records(out)[0]["seed"] == 77
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [("-1", "IDLETUNE_SEED must be >= 0, got -1"), ("abc", "IDLETUNE_SEED must be an integer, got 'abc'")],
+    )
+    def test_bad_seed_from_environment_names_the_variable(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("IDLETUNE_SEED", value)
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--users", "5", "--beta", "0.1", "--xi", "0.5",
+            "--timeout", "1", "--trials", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_flag_overrides_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("IDLETUNE_SEED", "77")
         _, out, _ = run_cli(

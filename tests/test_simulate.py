@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from idletune import (
-    EventKind,
     ModelParams,
     SimResult,
     SystemConfig,
@@ -213,9 +212,15 @@ class TestGenerateEventLog:
         b = list(generate_event_log(params, 5000.0, seed=8))
         assert a == b
 
+    def test_yields_float_and_bool_pairs(self):
+        # numpy scalars would change what format_event writes
+        events = list(generate_event_log(ModelParams(20, 0.01, 0.3), 5000.0, seed=8))
+        assert events
+        assert {(type(ts), type(is_bind)) for ts, is_bind in events} == {(float, bool)}
+
     def test_time_ordered_within_span(self):
         events = list(generate_event_log(ModelParams(20, 0.01, 0.3), 5000.0, seed=8))
-        times = [e.ts for e in events]
+        times = [ts for ts, _ in events]
         assert times == sorted(times)
         assert all(0.0 < t <= 5000.0 for t in times)
 
@@ -224,7 +229,7 @@ class TestGenerateEventLog:
         events = list(generate_event_log(params, 1.0e6, seed=21))
         n = len(events)
         assert n == pytest.approx(5.0e4, rel=0.05)
-        chi = sum(1 for e in events if e.kind is EventKind.BIND) / n
+        chi = sum(is_bind for _, is_bind in events) / n
         assert abs(chi - 0.3) <= 4 * math.sqrt(0.3 * 0.7 / n)
 
     def test_tiny_duration_may_be_empty(self):
@@ -245,3 +250,18 @@ class TestGenerateEventLog:
             list(generate_event_log(ModelParams(1, 1.0, 0.5), 0.0, seed=0))
         with pytest.raises(ValueError):
             list(generate_event_log(ModelParams(1, 1.0, 0.5), 10.0, seed=-2))
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda seed: simulate_failure_prob(ModelParams(10, 0.1, 0.5), 1.0, 100, seed),
+        lambda seed: simulate_system(MID_LOAD, seed),
+        lambda seed: list(generate_event_log(ModelParams(10, 0.1, 0.5), 10.0, seed)),
+    ],
+    ids=["simulate_failure_prob", "simulate_system", "generate_event_log"],
+)
+def test_every_simulator_rejects_a_bad_seed(run, seed):
+    with pytest.raises(ValueError, match="seed must be"):
+        run(seed)

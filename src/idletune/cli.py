@@ -179,13 +179,10 @@ def _resolve(args: argparse.Namespace, config: dict) -> None:
 
 def _parse_schedule(text: str) -> StepSchedule:
     if text == "harmonic":
-        return StepSchedule.harmonic()
+        return StepSchedule("harmonic")
     kind, sep, arg = text.partition(":")
-    if sep and arg:
-        if kind == "power":
-            return StepSchedule.power(_as_float("--schedule power:", arg))
-        if kind == "constant":
-            return StepSchedule.constant(_as_float("--schedule constant:", arg))
+    if sep and arg and kind in ("power", "constant"):
+        return StepSchedule(kind, _as_float(f"--schedule {kind}:", arg))
     raise ValueError(f"schedule {text!r} is not harmonic, power:A, or constant:C")
 
 

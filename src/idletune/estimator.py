@@ -16,15 +16,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, Iterable, Mapping, Protocol
 
 from .errors import CannotInitializeError, InfeasibleTargetError, SinkError
 from .ingest import WindowStats
-from .model import ModelParams, SolverPolicy, TimeoutSolution, _check_n_users, solve_timeout
+from .model import ModelParams, SolverPolicy, TimeoutSolution, _check_count, solve_timeout
 
 __all__ = [
-    "ScheduleKind",
     "StepSchedule",
     "step_size",
     "EstimatorState",
@@ -41,10 +39,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-class ScheduleKind(Enum):
-    HARMONIC = "harmonic"
-    POWER = "power"
-    CONSTANT = "constant"
+# each kind of schedule that takes a value: the value's name in error
+# messages and the open lower end of its range, whose upper end is 1
+_SCHEDULE_VALUES = {"power": ("an exponent", 0.5), "constant": ("a value", 0.0)}
 
 
 @dataclass(frozen=True)
@@ -55,50 +52,48 @@ class StepSchedule:
     a in (0.5, 1]) satisfy the averaging conditions eta_n > 0, eta_n -> 0,
     and sum eta_n = inf, so the estimates settle.  Constant (eta_n = c in
     (0, 1]) never stops moving; it trades convergence for the ability to
-    track drifting traffic and must be opted into explicitly.
+    track drifting traffic and must be opted into explicitly.  ``kind`` is
+    "harmonic", "power" or "constant"; ``value`` is power's exponent a or
+    constant's c, and None for harmonic.
     """
 
-    kind: ScheduleKind
-    exponent: float | None = None
+    kind: str
     value: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is ScheduleKind.POWER:
-            if self.exponent is None or not 0.5 < self.exponent <= 1.0:
+        if self.kind == "harmonic":
+            if self.value is not None:
+                raise ValueError("harmonic schedule takes no value")
+        elif self.kind in _SCHEDULE_VALUES:
+            noun, low = _SCHEDULE_VALUES[self.kind]
+            if self.value is None or not low < self.value <= 1.0:
                 raise ValueError(
-                    f"power schedule needs an exponent in (0.5, 1], got {self.exponent!r}"
+                    f"{self.kind} schedule needs {noun} in ({low:g}, 1], got {self.value!r}"
                 )
-        elif self.exponent is not None:
-            raise ValueError(f"{self.kind.value} schedule takes no exponent")
-        if self.kind is ScheduleKind.CONSTANT:
-            if self.value is None or not 0.0 < self.value <= 1.0:
-                raise ValueError(
-                    f"constant schedule needs a value in (0, 1], got {self.value!r}"
-                )
-        elif self.value is not None:
-            raise ValueError(f"{self.kind.value} schedule takes no value")
+        else:
+            raise ValueError(f"schedule kind must be harmonic, power, or constant, got {self.kind!r}")
 
     @classmethod
     def harmonic(cls) -> "StepSchedule":
-        return cls(ScheduleKind.HARMONIC)
+        return cls("harmonic")
 
     @classmethod
     def power(cls, exponent: float) -> "StepSchedule":
-        return cls(ScheduleKind.POWER, exponent=exponent)
+        return cls("power", exponent)
 
     @classmethod
     def constant(cls, value: float) -> "StepSchedule":
-        return cls(ScheduleKind.CONSTANT, value=value)
+        return cls("constant", value)
 
 
 def step_size(schedule: StepSchedule, n: int) -> float:
     """eta_n for step index n >= 0; always in (0, 1]."""
     if n < 0:
         raise ValueError(f"step index must be >= 0, got {n}")
-    if schedule.kind is ScheduleKind.HARMONIC:
+    if schedule.kind == "harmonic":
         return 1.0 / (n + 1)
-    if schedule.kind is ScheduleKind.POWER:
-        return (n + 1) ** -schedule.exponent
+    if schedule.kind == "power":
+        return (n + 1) ** -schedule.value
     return schedule.value
 
 
@@ -112,8 +107,7 @@ class EstimatorState:
     last_published_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.iteration < 0:
-            raise ValueError(f"iteration must be >= 0, got {self.iteration}")
+        _check_count("iteration", self.iteration, 0)
         if not 0.0 <= self.xi_hat <= 1.0:
             raise ValueError(f"xi_hat must lie in [0, 1], got {self.xi_hat!r}")
         if not self.beta_hat >= 0.0:
@@ -137,7 +131,7 @@ class TunerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.target_eps < 1.0:
             raise ValueError(f"target_eps must lie in (0, 1), got {self.target_eps!r}")
-        _check_n_users(self.n_users)
+        _check_count("n_users", self.n_users)
         if not self.publish_delta_s >= 0.0:
             raise ValueError(f"publish_delta_s must be >= 0, got {self.publish_delta_s!r}")
 

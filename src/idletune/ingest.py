@@ -7,7 +7,7 @@ counts toward both the request total and the marked total.
 
 Events stream as ``(ts, is_bind)`` pairs: :func:`read_events` yields
 them and :func:`windowize` counts them.  :func:`parse_event` checks a
-single line and returns an :class:`Event`.
+single line and returns an :class:`Event`, the named form of that pair.
 
 The canonical line is exactly what :func:`format_event` writes:
 ``{"ts": <float repr>, "kind": "<kind>"}`` with that spacing and key
@@ -18,18 +18,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import re
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, SequencingError
-from .model import _check_n_users
+from .model import _check_count
 
 __all__ = [
     "REORDER_TOLERANCE_S",
-    "EventKind",
     "Event",
     "parse_event",
     "format_event",
@@ -44,37 +41,23 @@ __all__ = [
 REORDER_TOLERANCE_S = 1.0
 
 
-class EventKind(Enum):
-    REQUEST = "request"
-    BIND = "bind"
-
-
-@dataclass(frozen=True)
-class Event:
-    """One proxy request; kind BIND means it reached the directory server."""
+class Event(NamedTuple):
+    """One proxy request; is_bind means it reached the directory server."""
 
     ts: float
-    kind: EventKind
-
-    def __post_init__(self) -> None:
-        if isinstance(self.ts, bool) or not isinstance(self.ts, numbers.Real):
-            raise ValueError(f"ts must be a real number, got {self.ts!r}")
-        if not (self.ts >= 0.0 and math.isfinite(self.ts)):
-            raise ValueError(f"ts must be finite and >= 0, got {self.ts!r}")
-        if not isinstance(self.kind, EventKind):
-            raise ValueError(f"kind must be an EventKind, got {self.kind!r}")
-        object.__setattr__(self, "ts", float(self.ts))
+    is_bind: bool
 
     def to_json(self) -> str:
-        return format_event(self.ts, self.kind is EventKind.BIND)
+        return format_event(self.ts, self.is_bind)
 
 
 def parse_event(line: str, line_no: int = 0) -> Event:
     """Decode one log line into an :class:`Event`.
 
     Raises :class:`ParseError` carrying ``line_no`` when the record is not
-    valid JSON, is missing a field, has a non-numeric timestamp, or names
-    an unknown kind.  Unrecognized extra fields are ignored.
+    valid JSON, is missing a field, has a timestamp that is not a finite
+    number >= 0, or names an unknown kind.  Unrecognized extra fields are
+    ignored.
     """
     try:
         record = json.loads(line)
@@ -84,19 +67,20 @@ def parse_event(line: str, line_no: int = 0) -> Event:
         raise ParseError(line_no, f"expected an object, got {type(record).__name__}")
     try:
         ts = record["ts"]
-        kind_name = record["kind"]
+        kind = record["kind"]
     except KeyError as exc:
         raise ParseError(line_no, f"missing field {exc.args[0]!r}") from exc
     if isinstance(ts, bool) or not isinstance(ts, (int, float)):
         raise ParseError(line_no, f"ts must be a number, got {ts!r}")
+    if kind not in ("request", "bind"):
+        raise ParseError(line_no, f"unknown kind {kind!r}")
     try:
-        kind = EventKind(kind_name)
-    except ValueError:
-        raise ParseError(line_no, f"unknown kind {kind_name!r}") from None
-    try:
-        return Event(float(ts), kind)
-    except ValueError as exc:
-        raise ParseError(line_no, str(exc)) from exc
+        ts = float(ts)
+    except OverflowError:  # an integer beyond the float range
+        ts = math.inf if ts > 0 else -math.inf
+    if not 0.0 <= ts < math.inf:
+        raise ParseError(line_no, f"ts must be finite and >= 0, got {ts!r}")
+    return Event(ts, kind == "bind")
 
 
 # A canonical line: a non-negative JSON number (ASCII digits only, no
@@ -135,8 +119,7 @@ def read_events(lines: Iterable[str]) -> Iterator[tuple[float, bool]]:
                 yield ts, m[2] == "bind"
                 continue
         if line.strip():
-            event = parse_event(line, line_no)
-            yield event.ts, event.kind is EventKind.BIND
+            yield parse_event(line, line_no)
 
 
 @dataclass(frozen=True)
@@ -182,7 +165,7 @@ class WindowStats:
         n_marked: int,
         n_users: int,
     ) -> "WindowStats":
-        _check_n_users(n_users)
+        _check_count("n_users", n_users)
         chi = n_marked / n_requests if n_requests else 0.0
         theta = n_requests / (n_users * window_s)
         return cls(
@@ -226,7 +209,7 @@ def windowize(
     """
     if window_s <= 0.0 or not math.isfinite(window_s):
         raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
-    _check_n_users(n_users)
+    _check_count("n_users", n_users)
     if tolerance_s < 0.0:
         raise ValueError(f"tolerance_s must be >= 0, got {tolerance_s!r}")
 

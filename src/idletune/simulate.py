@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _check_count
 
 __all__ = [
     "SimResult",
@@ -85,8 +85,7 @@ def simulate_failure_prob(
     """
     if not timeout_s >= 0.0:
         raise ValueError(f"timeout_s must be >= 0, got {timeout_s!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials)
     p_fire = -math.expm1(-params.beta * timeout_s)
     failures = 0
     remaining = trials
@@ -122,10 +121,9 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         ModelParams(self.n_users, self.beta, self.xi)
-        if self.n_processes < 1:
-            raise ValueError(f"n_processes must be >= 1, got {self.n_processes}")
-        if self.process_life is not None and self.process_life < 1:
-            raise ValueError(f"process_life must be >= 1 or None, got {self.process_life}")
+        _check_count("n_processes", self.n_processes)
+        if self.process_life is not None:
+            _check_count("process_life", self.process_life)
         if not self.idle_timeout_s >= 0.0:
             raise ValueError(f"idle_timeout_s must be >= 0, got {self.idle_timeout_s!r}")
         if not (self.duration_s > 0.0 and math.isfinite(self.duration_s)):

@@ -372,6 +372,38 @@ class TestTune:
         code, _, _ = run_cli(capsys, *self.tune_args(event_log, "--sink", "carrier-pigeon"))
         assert code == 2
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ("bogus", "schedule 'bogus' is not harmonic, power:A, or constant:C"),
+            ("power", "schedule 'power' is not harmonic, power:A, or constant:C"),
+            ("power:", "schedule 'power:' is not harmonic, power:A, or constant:C"),
+            ("power:x", "--schedule power: must be a number, got 'x'"),
+            ("power:0.6:1", "--schedule power: must be a number, got '0.6:1'"),
+            ("power:0.5", "power schedule needs an exponent in (0.5, 1], got 0.5"),
+            ("power:2", "power schedule needs an exponent in (0.5, 1], got 2.0"),
+            ("constant:0", "constant schedule needs a value in (0, 1], got 0.0"),
+            ("constant:1.5", "constant schedule needs a value in (0, 1], got 1.5"),
+            ("constant:nan", "constant schedule needs a value in (0, 1], got nan"),
+            ("harmonic:1", "schedule 'harmonic:1' is not harmonic, power:A, or constant:C"),
+            ("POWER:0.6", "schedule 'POWER:0.6' is not harmonic, power:A, or constant:C"),
+        ],
+    )
+    def test_a_bad_schedule_is_a_usage_error(self, capsys, tmp_path, schedule, message, from_config):
+        log = tmp_path / "events.jsonl"
+        log.write_text(seeded_log(5, 50))
+        if from_config:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"schedule": schedule}))
+            extra = ["--config", str(config)]
+        else:
+            extra = ["--schedule", schedule]
+        code, out, err = run_cli(capsys, *self.tune_args(log, *extra))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_a_regular_file_coalesces_a_write_through_stdout(self, monkeypatch, event_log):
         # PYTHONUNBUFFERED opens stdout write-through, one write(2) per line;
         # a batch read from a regular file must not pay that, and the stream

@@ -67,6 +67,11 @@ class TestStepSize:
         with pytest.raises(ValueError):
             StepSchedule.constant(value)
 
+    @pytest.mark.parametrize("args", [("bogus",), ("harmonic", 0.5), ("power",)])
+    def test_kind_and_value_must_agree(self, args):
+        with pytest.raises(ValueError):
+            StepSchedule(*args)
+
     @pytest.mark.parametrize(
         "schedule",
         [StepSchedule.harmonic(), StepSchedule.power(0.7), StepSchedule.power(1.0)],

@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idletune import (
+    EstimatorState,
     Expression,
     InfeasibleTargetError,
     ModelParams,
     SolverPolicy,
+    SystemConfig,
     TimeoutSolution,
     failure_probability,
     feasibility_bound,
+    simulate_failure_prob,
     solve_timeout,
     solve_timeout_exact,
     solve_timeout_large_n,
@@ -291,3 +294,32 @@ class TestTimeoutSolution:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             SolverPolicy(large_n_threshold=0)
+
+
+def system(**change) -> SystemConfig:
+    fields = dict(n_users=5, beta=0.1, xi=0.5, n_processes=2, idle_timeout_s=1.0, duration_s=10.0)
+    return SystemConfig(**{**fields, **change})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ModelParams(True, 0.1, 0.5), "n_users must be an integer, got True"),
+        (lambda: system(n_processes=2.5), "n_processes must be an integer, got 2.5"),
+        (lambda: system(n_processes=True), "n_processes must be an integer, got True"),
+        (lambda: system(n_processes=0), "n_processes must be >= 1, got 0"),
+        (lambda: system(process_life=2.5), "process_life must be an integer, got 2.5"),
+        (lambda: system(process_life=True), "process_life must be an integer, got True"),
+        (lambda: simulate_failure_prob(POOL_N150, 1.0, 2.5, 0), "trials must be an integer, got 2.5"),
+        (lambda: simulate_failure_prob(POOL_N150, 1.0, True, 0), "trials must be an integer, got True"),
+        (lambda: simulate_failure_prob(POOL_N150, 1.0, 0, 0), "trials must be >= 1, got 0"),
+        (lambda: SolverPolicy(large_n_threshold=2.5), "large_n_threshold must be an integer, got 2.5"),
+        (lambda: EstimatorState(1.5, 0.5, 0.01), "iteration must be an integer, got 1.5"),
+        (lambda: EstimatorState(True, 0.5, 0.01), "iteration must be an integer, got True"),
+        (lambda: EstimatorState(-1, 0.5, 0.01), "iteration must be >= 0, got -1"),
+    ],
+)
+def test_every_count_is_checked_like_n_users(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message

@@ -41,7 +41,7 @@ from .errors import (
     SinkError,
 )
 from .estimator import StepSchedule, TunerConfig, TunerRecord, run_tuner
-from .ingest import WindowStats, format_event, read_events, windowize
+from .ingest import WindowStats, _read_windows, format_event
 from .model import (
     DEFAULT_LARGE_N_THRESHOLD,
     Expression,
@@ -316,19 +316,19 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     sink = make_sink(args.sink)
     with contextlib.ExitStack() as stack:
         if args.input == "-":
-            lines: Iterable[str] = sys.stdin
+            source = sys.stdin.buffer
         else:
-            lines = stack.enter_context(open(args.input, encoding="utf-8"))
+            source = stack.enter_context(open(args.input, "rb"))
         # a regular file is read to its end as one batch; anything else may be
         # a live feed, whose lines must not wait in a buffer
-        live = not _is_regular_file(lines)
+        live = not _is_regular_file(source)
 
         def write_json(stream: IO[str], item: TunerRecord | WindowStats) -> None:
             stream.write(item.to_json() + "\n")
             if live:
                 stream.flush()
 
-        windows = windowize(read_events(lines), args.window, args.users)
+        windows = _read_windows(source, args.window, args.users)
         if args.windows_out is not None:
             sidecar = stack.enter_context(open(args.windows_out, "w", encoding="utf-8"))
             windows = _tee_windows(windows, sidecar, write_json)

@@ -11,16 +11,20 @@ single line and returns an :class:`Event`, the named form of that pair.
 
 The canonical line is exactly what :func:`format_event` writes:
 ``{"ts": <float repr>, "kind": "<kind>"}`` with that spacing and key
-order.  :func:`read_events` decodes it without ``json.loads``.
+order.  ``tune`` reads its log in byte blocks and counts a block made of
+canonical lines alone as columns, without ``json.loads`` or a pair per
+line; any other block is read line by line through :func:`parse_event`.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, SequencingError
 from .model import _check_count
@@ -83,17 +87,8 @@ def parse_event(line: str, line_no: int = 0) -> Event:
     return Event(ts, kind == "bind")
 
 
-# A canonical line: a non-negative JSON number (ASCII digits only, no
-# sign) and a known kind, followed by nothing but JSON whitespace.
-_CANONICAL_LINE = re.compile(
-    r'\{"ts": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
-    r'"kind": "(request|bind)"\}[ \t\n\r]*'
-)
-
-
 def format_event(ts: float, is_bind: bool) -> str:
-    """The canonical line for one event, without its newline; read_events
-    decodes it on its fast path."""
+    """The canonical line for one event, without its newline."""
     return '{"ts": %r, "kind": "%s"}' % (ts, "bind" if is_bind else "request")
 
 
@@ -101,23 +96,8 @@ def read_events(lines: Iterable[str]) -> Iterator[tuple[float, bool]]:
     """Parse log lines into ``(ts, is_bind)`` pairs, skipping blank ones.
 
     Line numbers reported in errors are 1-based positions in the iterable.
-    Canonical lines take a fast path with the same result as
-    :func:`parse_event`; every other line goes through it.
     """
-    match = _CANONICAL_LINE.fullmatch
-    inf = math.inf
     for line_no, line in enumerate(lines, start=1):
-        try:
-            m = match(line)
-        except TypeError:  # bytes: leave the decoding to json.loads
-            m = None
-        if m is not None:
-            ts = float(m[1])
-            if ts < inf:
-                # the pattern admits only ts >= 0, so a finite match
-                # already passes parse_event's checks
-                yield ts, m[2] == "bind"
-                continue
         if line.strip():
             yield parse_event(line, line_no)
 
@@ -143,8 +123,8 @@ class WindowStats:
     def __post_init__(self) -> None:
         if not (self.window_s > 0.0 and math.isfinite(self.window_s)):
             raise ValueError(f"window_s must be positive and finite, got {self.window_s!r}")
-        if self.n_requests < 0 or self.n_marked < 0:
-            raise ValueError("event counts must be nonnegative")
+        _check_count("n_requests", self.n_requests, 0)
+        _check_count("n_marked", self.n_marked, 0)
         if self.n_marked > self.n_requests:
             raise ValueError(
                 f"n_marked {self.n_marked} exceeds n_requests {self.n_requests}"
@@ -166,6 +146,9 @@ class WindowStats:
         n_users: int,
     ) -> "WindowStats":
         _check_count("n_users", n_users)
+        # checked before int() below turns a count of 2.5 into 2
+        _check_count("n_requests", n_requests, 0)
+        _check_count("n_marked", n_marked, 0)
         chi = n_marked / n_requests if n_requests else 0.0
         theta = n_requests / (n_users * window_s)
         return cls(
@@ -184,6 +167,167 @@ class WindowStats:
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in self.__dataclass_fields__})
+
+
+class _Windows:
+    """The window state that :func:`windowize` and :func:`_read_windows` share.
+
+    Windows are half-open intervals [anchor + i*T, anchor + (i+1)*T)
+    anchored at the first event's timestamp.  Window ``next_emit`` is
+    released once the newest timestamp seen, ``max_ts``, reaches
+    ``close_at``, its end plus the reorder tolerance; an event that rounds
+    into a released window is counted in ``next_emit`` instead.
+    """
+
+    def __init__(self, window_s: float, n_users: int, tolerance_s: float) -> None:
+        if window_s <= 0.0 or not math.isfinite(window_s):
+            raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
+        _check_count("n_users", n_users)
+        if tolerance_s < 0.0:
+            raise ValueError(f"tolerance_s must be >= 0, got {tolerance_s!r}")
+        self.window_s = window_s
+        self.n_users = n_users
+        self.tolerance_s = tolerance_s
+        self.anchor: float | None = None
+        self.max_ts = 0.0
+        # window index -> [n_requests, n_marked]
+        self.counts: dict[int, list[int]] = {}
+        self.next_emit = 0
+        self.close_at = math.inf
+
+    def start(self, ts: float) -> None:
+        self.anchor = self.max_ts = ts
+        self.close_at = ts + self.window_s + self.tolerance_s
+
+    def continues_at(self, ts: float) -> bool:
+        """Whether :meth:`add_columns` may count a sorted block from ``ts``
+        on; the state starts at ``ts`` if no event has started it."""
+        if self.anchor is None:
+            self.start(ts)
+        return self.max_ts <= ts and self.max_ts < self.close_at
+
+    def emit(self) -> WindowStats:
+        """Release window ``next_emit``."""
+        idx = self.next_emit
+        n_requests, n_marked = self.counts.pop(idx, (0, 0))
+        self.next_emit = idx + 1
+        self.close_at = self.anchor + (idx + 2) * self.window_s + self.tolerance_s
+        return WindowStats.from_counts(
+            self.anchor + idx * self.window_s, self.window_s, n_requests, n_marked, self.n_users
+        )
+
+    def add(self, idx: int, n_requests: int, n_marked: int) -> None:
+        cell = self.counts.get(idx)
+        if cell is None:
+            self.counts[idx] = [n_requests, n_marked]
+        else:
+            cell[0] += n_requests
+            cell[1] += n_marked
+
+    def add_pairs(self, events: Iterable[tuple[float, bool]]) -> Iterator[WindowStats]:
+        """Count events one at a time, releasing windows as they close."""
+        it = iter(events)
+        if self.anchor is None:
+            first = next(it, None)
+            if first is None:
+                return
+            self.start(first[0])
+            it = itertools.chain((first,), it)
+        anchor, window_s, tolerance_s = self.anchor, self.window_s, self.tolerance_s
+        counts = self.counts
+        max_ts, next_emit, close_at = self.max_ts, self.next_emit, self.close_at
+        for ts, is_bind in it:
+            if ts < max_ts - tolerance_s:
+                raise SequencingError(
+                    f"timestamp {ts} regresses {max_ts - ts:.6g}s behind the newest "
+                    f"event at {max_ts}; tolerance is {tolerance_s:.6g}s"
+                )
+            idx = int((ts - anchor) // window_s)
+            if idx < next_emit:
+                # a straggler ahead of the anchor, or a boundary timestamp that
+                # rounds into a window the close test has already released
+                idx = next_emit
+            cell = counts.get(idx)
+            if cell is None:
+                cell = counts[idx] = [0, 0]
+            cell[0] += 1
+            if is_bind:
+                cell[1] += 1
+            if ts > max_ts:
+                max_ts = ts
+                while close_at <= max_ts:
+                    yield self.emit()
+                    next_emit, close_at = self.next_emit, self.close_at
+        self.max_ts = max_ts
+
+    def add_columns(self, ts_text: list[bytes], ts: list[float], block: bytes) -> Iterator[WindowStats]:
+        """Count a block of canonical lines, releasing windows as they close.
+
+        ``ts`` holds the lines' timestamps, spelt ``ts_text`` in the block;
+        they must be finite, nondecreasing and at least ``max_ts``, which
+        must be below ``close_at``.  The counts are those :meth:`add_pairs`
+        makes of the same events.  The window each line is counted in, its
+        key clamped up to ``next_emit``, never decreases along the block, so
+        each window takes one run of lines.  The run ends at the first line
+        whose key is past the window, or sooner, just after the line that
+        closed it.  Its binds are counted between the byte offsets of its
+        ends.
+        """
+        anchor, window_s = self.anchor, self.window_s
+
+        def key(t: float) -> float:
+            return (t - anchor) // window_s
+
+        def start_of(line: int, after: int) -> int:
+            # the byte offset of a line whose timestamp differs from that of
+            # every line before it from byte ``after`` on; '{' opens lines only
+            if line == len(ts):
+                return len(block)
+            return block.index(b'{"ts": ' + ts_text[line] + b",", after)
+
+        i = off = 0  # the first line not yet counted, and its byte offset
+        while self.close_at <= ts[-1]:
+            close_at, idx = self.close_at, self.next_emit
+            end = _gallop(ts, idx + 1, i, key)
+            if end >= 2 and ts[end - 2] >= close_at:
+                # a line before end - 1 closed the window: the lines after it
+                # that round into the window are clamped past it
+                closer = bisect.bisect_left(ts, close_at, max(i - 1, 0), end - 1)
+                end = closer + 1
+                end_off = block.index(b"\n", start_of(closer, off)) + 1 if end > i else off
+            else:
+                end_off = start_of(end, off)
+            if end > i:
+                self.add(idx, end - i, block.count(b'"bind"', off, end_off))
+                i, off = end, end_off
+            yield self.emit()
+        # the lines left fall in the open windows by their keys
+        while i < len(ts):
+            idx = max(int(key(ts[i])), self.next_emit)
+            end = _gallop(ts, idx + 1, i, key)
+            end_off = start_of(end, off)
+            self.add(idx, end - i, block.count(b'"bind"', off, end_off))
+            i, off = end, end_off
+        self.max_ts = ts[-1]
+
+    def finish(self) -> Iterator[WindowStats]:
+        """Release every window up to the newest event's."""
+        if self.anchor is None:
+            return
+        last_idx = int((self.max_ts - self.anchor) // self.window_s)
+        while self.next_emit <= last_idx or self.counts:
+            yield self.emit()
+
+
+def _gallop(a: list[float], x: int, lo: int, key) -> int:
+    """``bisect_left(a, x, lo, key=key)``, probing lo, lo+1, lo+3, ... first,
+    so that a cut k places past ``lo`` costs O(log k) probes."""
+    hi, step = lo, 1
+    while hi < len(a) and key(a[hi]) < x:
+        lo = hi + 1
+        hi += step
+        step *= 2
+    return bisect.bisect_left(a, x, lo, min(hi, len(a)), key=key)
 
 
 def windowize(
@@ -207,54 +351,77 @@ def windowize(
     rounds into a window already released is counted in the oldest open
     window.
     """
-    if window_s <= 0.0 or not math.isfinite(window_s):
-        raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
-    _check_count("n_users", n_users)
-    if tolerance_s < 0.0:
-        raise ValueError(f"tolerance_s must be >= 0, got {tolerance_s!r}")
+    state = _Windows(window_s, n_users, tolerance_s)
+    yield from state.add_pairs(events)
+    yield from state.finish()
 
-    it = iter(events)
-    first = next(it, None)
-    if first is None:
-        return
-    anchor, first_bind = first
-    max_ts = anchor
-    # window index -> [n_requests, n_marked]
-    counts: dict[int, list[int]] = {0: [1, 1 if first_bind else 0]}
-    next_emit = 0
-    # a window is safe to close once no in-tolerance event can reach it
-    close_at = anchor + window_s + tolerance_s
 
-    def emit(idx: int) -> WindowStats:
-        n_requests, n_marked = counts.pop(idx, (0, 0))
-        return WindowStats.from_counts(
-            anchor + idx * window_s, window_s, n_requests, n_marked, n_users
-        )
+# bytes read from the log at a time; a block is one read cut after its last
+# line break
+_BLOCK_SIZE = 1 << 16
 
-    for ts, is_bind in it:
-        if ts < max_ts - tolerance_s:
-            raise SequencingError(
-                f"timestamp {ts} regresses {max_ts - ts:.6g}s behind the newest "
-                f"event at {max_ts}; tolerance is {tolerance_s:.6g}s"
-            )
-        idx = int((ts - anchor) // window_s)
-        if idx < next_emit:
-            # a straggler ahead of the anchor, or a boundary timestamp that
-            # rounds into a window the close test has already released
-            idx = next_emit
-        cell = counts.get(idx)
-        if cell is None:
-            cell = counts[idx] = [0, 0]
-        cell[0] += 1
-        if is_bind:
-            cell[1] += 1
-        if ts > max_ts:
-            max_ts = ts
-            while close_at <= max_ts:
-                yield emit(next_emit)
-                next_emit += 1
-                close_at = anchor + (next_emit + 1) * window_s + tolerance_s
-    last_idx = int((max_ts - anchor) // window_s)
-    while next_emit <= last_idx or counts:
-        yield emit(next_emit)
-        next_emit += 1
+# A canonical line, as format_event writes it: a non-negative JSON number
+# (ASCII digits only, no sign) and a known kind.  The line with its newline
+# is 28 bytes plus the number for a request, 3 fewer for a bind.
+_CANONICAL_LINE = re.compile(
+    rb'\{"ts": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), "kind": "(?:request|bind)"\}\n'
+)
+
+
+def _read_windows(
+    stream: BinaryIO,
+    window_s: float,
+    n_users: int,
+    tolerance_s: float = REORDER_TOLERANCE_S,
+) -> Iterator[WindowStats]:
+    """``windowize(read_events(lines))`` over a binary stream holding UTF-8
+    log lines, with the same windows and the same errors.
+
+    The stream is read in blocks of at most :data:`_BLOCK_SIZE` bytes with
+    ``read1``, so a pipe's lines are counted as they arrive.  A block made
+    of canonical lines alone, in order, is counted as columns; any other is
+    decoded as ``open(..., encoding="utf-8")`` would and counted line by
+    line.
+    """
+    state = _Windows(window_s, n_users, tolerance_s)
+    line_no = 0
+    rest = b""
+    while True:
+        read = stream.read1(_BLOCK_SIZE)
+        data = rest + read
+        # cut after the last line break; a \r is one only when the byte
+        # after it is known not to be \n
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if read else len(data)
+        block, rest = data[:cut], data[cut:]
+        if block:
+            columns = _sorted_columns(block)
+            if columns is not None and state.continues_at(columns[1][0]):
+                yield from state.add_columns(*columns, block)
+                line_no += len(columns[1])
+            else:
+                lines = block.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+                if not lines[-1]:
+                    lines.pop()
+                yield from state.add_pairs(
+                    parse_event(line, no) for no, line in enumerate(lines, line_no + 1) if line.strip()
+                )
+                line_no += len(lines)
+        if not read:
+            break
+    yield from state.finish()
+
+
+def _sorted_columns(block: bytes) -> tuple[list[bytes], list[float]] | None:
+    """The timestamps of a block of canonical lines, as spelt and as floats,
+    if every byte of it belongs to one and they are finite and in order."""
+    ts_text = _CANONICAL_LINE.findall(block)
+    # a '"bind"}\n' outside the matches lowers this sum, and the matches
+    # cannot cover more than the block, so it reaches the block's length
+    # only when they cover all of it
+    n = len(ts_text)
+    if sum(map(len, ts_text)) + 28 * n - 3 * block.count(b'"bind"}\n') != len(block):
+        return None
+    ts = list(map(float, ts_text))
+    if ts[-1] < math.inf and ts == sorted(ts):
+        return ts_text, ts
+    return None

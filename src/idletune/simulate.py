@@ -55,9 +55,9 @@ class SimResult:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.failures <= self.trials:
+        _check_count("trials", self.trials)
+        _check_count("failures", self.failures, 0)
+        if self.failures > self.trials:
             raise ValueError(
                 f"failures {self.failures} outside [0, {self.trials}]"
             )

@@ -320,11 +320,14 @@ class TestTune:
         assert sum(r["published"] for r in records) == 1
 
     def test_reads_stdin_by_default(self, capsys, monkeypatch, event_log):
+        capsys.readouterr()  # what gen-log printed
+        expected = run_cli(capsys, "tune", str(event_log), "--users", "50", "--window", "600")
         with event_log.open() as stdin:
             monkeypatch.setattr("sys.stdin", stdin)
-            code, out, _ = run_cli(capsys, "tune", "--users", "50", "--window", "600")
+            code, out, err = run_cli(capsys, "tune", "--users", "50", "--window", "600")
         assert code == 0
         assert len(stdout_records(out)) > 10
+        assert (code, out, err) == expected
 
     def test_windows_out_sidecar(self, capsys, event_log, tmp_path):
         sidecar = tmp_path / "windows.jsonl"
@@ -654,6 +657,74 @@ class TestTuneIngestPaths:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "18fb4aaff5e47797988a7640215706fc1403f3e735790868b742675a7ba37ad4"
         )
+
+
+def block_log(n_events: int) -> bytes:
+    """A canonical log longer than two 64 KiB reads."""
+    data = seeded_log(17, n_events).encode()
+    assert len(data) > 2 * 65536
+    return data
+
+
+class TestTuneInputEdges:
+    """What tune prints for awkward input bytes; the stdout digests and
+    stderr lines are pinned, so a change to how the input is read shows."""
+
+    FLAGS = ["--users", "50", "--window", "600", "--delta", "1"]
+
+    def tune(self, capsys, tmp_path, data: bytes):
+        log = tmp_path / "edge.jsonl"
+        log.write_bytes(data)
+        return run_cli(capsys, "tune", str(log), *self.FLAGS)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            pytest.param(lambda data: data.replace(b"\n", b"\r\n"), id="crlf"),
+            pytest.param(lambda data: data.replace(b"\n", b"\r"), id="lone-cr"),
+            pytest.param(lambda data: data.replace(b"}\n", b"}\n\n  \t\n", 40), id="blank-lines"),
+            pytest.param(lambda data: data[:-1], id="no-final-newline"),
+        ],
+    )
+    def test_line_endings_and_blank_lines_change_nothing(self, capsys, tmp_path, rewrite):
+        data = block_log(5000)
+        expected = self.tune(capsys, tmp_path, data)
+        assert expected[0] == 0 and len(stdout_records(expected[1])) > 100
+        assert rewrite(data) != data
+        assert self.tune(capsys, tmp_path, rewrite(data)) == expected
+
+    def test_a_byte_that_is_not_utf8(self, capsys, tmp_path):
+        data = bytearray(block_log(5000))
+        data[100] = 0xFF
+        code, out, err = self.tune(capsys, tmp_path, bytes(data))
+        assert (code, out) == (2, "")
+        assert err == "error: 'utf-8' codec can't decode byte 0xff in position 100: invalid start byte\n"
+
+    def test_a_malformed_line_in_the_third_read(self, capsys, tmp_path):
+        lines = block_log(5000).splitlines(keepends=True)
+        lines[4499] = b'{"ts": 1e5, "kind": "request"\n'
+        assert sum(map(len, lines[:4499])) > 2 * 65536
+        code, out, err = self.tune(capsys, tmp_path, b"".join(lines))
+        assert code == 4
+        assert err == "error: line 4500: invalid record: Expecting ',' delimiter\n"
+        assert len(stdout_records(out)) > 100
+        assert hashlib.sha256(out.encode()).hexdigest() == "4285941492d9f493206fedf4ca46021fa1e30a854c0ddb78a950df737dde368c"
+
+    def test_a_regression_across_a_read_boundary(self, capsys, tmp_path):
+        data = block_log(5000)
+        lines = data.splitlines(keepends=True)
+        # the first line that starts past the first 64 KiB read
+        first = data[:65536].count(b"\n")
+        ts = json.loads(lines[first - 1])["ts"]
+        lines[first] = b'{"ts": %r, "kind": "bind"}\n' % (ts - 1.5)
+        code, out, err = self.tune(capsys, tmp_path, b"".join(lines))
+        assert code == 4
+        assert err == (
+            "error: timestamp 29698.169999999915 regresses 1.5s behind the newest event at "
+            "29699.669999999915; tolerance is 1s\n"
+        )
+        assert len(stdout_records(out)) > 50
+        assert hashlib.sha256(out.encode()).hexdigest() == "aec6534fcbe18c982ff649b134a46e34de482709e313b5a868addf4962bd4d4a"
 
 
 class CountingRaw(io.RawIOBase):

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import math
 from unittest import mock
@@ -75,6 +76,10 @@ class TestReadEvents:
         lines = ['{"ts": 1, "kind": "request"}', "", "   ", '{"ts": 2, "kind": "bind"}']
         assert list(read_events(lines)) == [req(1.0), bind(2.0)]
 
+    def test_reads_bytes_lines(self):
+        lines = [b'{"ts": 1.0, "kind": "bind"}\n', b"  \n", b'{"ts": 2, "kind": "request"}']
+        assert list(read_events(lines)) == [bind(1.0), req(2.0)]
+
     def test_error_carries_position(self):
         lines = ['{"ts": 1, "kind": "request"}', "", "oops"]
         with pytest.raises(ParseError) as err:
@@ -84,7 +89,7 @@ class TestReadEvents:
 
 @contextlib.contextmanager
 def counting_parse_event():
-    """Count the lines read_events hands to parse_event, its slow path."""
+    """Count the lines the block reader hands to parse_event, its line-by-line path."""
     calls = []
 
     def counted(line, line_no=0):
@@ -95,16 +100,34 @@ def counting_parse_event():
         yield calls
 
 
-def outcome(call):
-    """Pairs (with the sign of ts) or the ParseError's message and line."""
+def outcome(windows):
+    """The windows released, then the error that stopped them, if any."""
+    got = []
     try:
-        events = list(call())
+        for window in windows:
+            got.append(window)
+    except (ParseError, SequencingError) as exc:
+        got.append((type(exc).__name__, str(exc), getattr(exc, "line_no", None)))
+    return got
+
+
+def read_windows(data: bytes, window_s: float, **kwargs):
+    return ingest._read_windows(io.BytesIO(data), window_s, 25, **kwargs)
+
+
+def parsed_windows(lines, window_s: float):
+    """windowize over parse_event's value of each numbered line, or its ParseError."""
+    try:
+        events = [parse_event(line, line_no) for line_no, line in lines]
     except ParseError as exc:
-        return ("error", str(exc), exc.line_no)
-    return [(repr(ts), is_bind) for ts, is_bind in events]
+        return [("ParseError", str(exc), exc.line_no)]
+    return outcome(windowize(events, window_s, 25))
 
 
 class TestCanonicalFastPath:
+    """The block reader counts a block of canonical lines as columns; it must
+    agree with parse_event and windowize on every input."""
+
     @given(
         st.lists(
             st.tuples(
@@ -122,20 +145,24 @@ class TestCanonicalFastPath:
     @example([(7, True), (1e16, False), (2.5e-7, True)])
     @settings(max_examples=200, deadline=None)
     def test_canonical_and_compact_lines_agree(self, records):
+        # in time order, so that the canonical block is counted as columns
+        records.sort(key=lambda record: float(record[0]))
         canonical, written, compact = [], [], []
         for ts, is_bind in records:
             kind = "bind" if is_bind else "request"
             canonical.append('{"ts": %r, "kind": "%s"}\n' % (ts, kind))
             written.append(format_event(ts, is_bind) + "\n")
             compact.append(json.dumps({"ts": ts, "kind": kind}, separators=(",", ":")) + "\n")
-        expected = [(float(ts), is_bind) for ts, is_bind in records]
+        # windows as wide as an eighth of the newest ts, so at most nine
+        window_s = max(float(records[-1][0]), 1.0) / 8
+        expected = outcome(windowize([(float(ts), is_bind) for ts, is_bind in records], window_s, 25))
         with counting_parse_event() as slow:
-            fast_events = list(read_events(canonical))
-            written_events = list(read_events(written))
+            fast = outcome(read_windows("".join(canonical).encode(), window_s))
+            from_format_event = outcome(read_windows("".join(written).encode(), window_s))
             assert slow == []
-            slow_events = list(read_events(compact))
+            by_line = outcome(read_windows("".join(compact).encode(), window_s))
             assert slow == list(range(1, len(records) + 1))
-        assert fast_events == written_events == slow_events == expected
+        assert fast == from_format_event == by_line == expected
 
     @pytest.mark.parametrize(
         "line",
@@ -165,21 +192,22 @@ class TestCanonicalFastPath:
             '{"ts": 1.0, "kind": "Bind"}',
             '{"ts": 1.0, "kind": "search"}',
             '{"ts": 1_000, "kind": "request"}',
-            '{"ts": \u0661, "kind": "request"}',
-            '{"ts": 1\u0661, "kind": "request"}',
-            '{"ts": 1.\u0661, "kind": "request"}',
-            '{"ts": 1e\u0661, "kind": "request"}',
+            '{"ts": ١, "kind": "request"}',
+            '{"ts": 1١, "kind": "request"}',
+            '{"ts": 1.١, "kind": "request"}',
+            '{"ts": 1e١, "kind": "request"}',
             '{"ts": "1.0", "kind": "request"}',
         ],
     )
     def test_edge_lines_match_parse_event(self, line):
+        # alone, the line's value is the anchor, the first window's start
+        alone = line if line.endswith("\n") else line + "\n"
+        assert outcome(read_windows(alone.encode(), 600.0)) == parsed_windows([(1, line)], 600.0)
+        # third, after a blank line, its error carries its line number; one
+        # window holds every value
         lines = ['{"ts": 0.5, "kind": "request"}', "", line]
-        expected = outcome(lambda: [parse_event(lines[0], 1), parse_event(line, 3)])
-        assert outcome(lambda: read_events(lines)) == expected
-
-    def test_bytes_lines_take_the_slow_path(self):
-        lines = [b'{"ts": 1.0, "kind": "bind"}\n', b"  \n", b'{"ts": 2, "kind": "request"}']
-        assert list(read_events(lines)) == [bind(1.0), req(2.0)]
+        expected = parsed_windows([(1, lines[0]), (3, line)], 1e30)
+        assert outcome(read_windows("\n".join(lines).encode(), 1e30)) == expected
 
     def test_to_json_writes_the_canonical_line(self):
         for ts, is_bind in (bind(12345.6789012345), req(1e-05), req(1e16), bind(0.0)):
@@ -187,8 +215,81 @@ class TestCanonicalFastPath:
             for line in (event.to_json(), format_event(ts, is_bind)):
                 assert line == json.dumps({"ts": ts, "kind": "bind" if is_bind else "request"})
                 with counting_parse_event() as slow:
-                    assert list(read_events([line])) == [(ts, is_bind)]
+                    (window,) = read_windows(line.encode() + b"\n", 600.0)
                 assert slow == []
+                assert (window.window_start_ts, window.n_requests, window.n_marked) == (ts, 1, int(is_bind))
+
+    @pytest.mark.parametrize("window_s", [0.1, 0.3, 1.1])
+    def test_lines_after_a_close_go_to_the_next_window(self, window_s):
+        # with no tolerance, the first line on a window edge closes the window
+        # before it even where its key rounds down into it; the second line
+        # there is counted in the next window, as windowize counts it
+        events = [(k * window_s, is_bind) for k in range(200) for is_bind in (False, True)]
+        log = "".join(format_event(ts, is_bind) + "\n" for ts, is_bind in events).encode()
+        assert sum((k * window_s) // window_s < k for k in range(200)) > 50
+        expected = list(windowize(events, window_s, 25, tolerance_s=0.0))
+        with counting_parse_event() as slow:
+            assert list(read_windows(log, window_s, tolerance_s=0.0)) == expected
+        assert slow == []
+
+    @given(
+        st.data(),
+        st.sampled_from([0.3, 1.1, 7.0, 600.0]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([7, 40, 97, 256, 1 << 16]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_count_as_windowize_does(self, data, window_s, tolerance_s, block_size):
+        # timestamps on window edges, 1e-12 either side of them, in between,
+        # and a little behind the newest; in half the logs, a few lines that
+        # are not canonical or blank send their blocks down the line-by-line
+        # path
+        anchor = data.draw(st.floats(min_value=0.0, max_value=1e4))
+        forms = ["canonical"] + data.draw(st.sampled_from([[], ["canonical"] * 20 + ["compact", "blank"]]))
+        steps = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["edge", "edge", "below", "above", "gap", "gap", "behind"]),
+                    st.integers(min_value=0, max_value=6),
+                    st.floats(min_value=0.0, max_value=1.0),
+                    st.booleans(),
+                    st.sampled_from(forms),
+                ),
+                min_size=1,
+                max_size=120,
+            )
+        )
+        events, lines = [], []
+        newest, k = anchor, 0
+        for step, gap, fraction, is_bind, form in steps:
+            k += gap // 3
+            edge = anchor + k * window_s
+            ts = {
+                "edge": edge,
+                "below": edge - 1e-12,
+                "above": edge + 1e-12,
+                "gap": newest + fraction * gap * window_s,
+                "behind": newest - fraction * 1.5,
+            }[step]
+            ts = max(ts, 0.0)
+            if form == "blank":
+                lines.append("  ")
+            kind = "bind" if is_bind else "request"
+            if form == "compact":
+                lines.append(json.dumps({"ts": ts, "kind": kind}, separators=(",", ":")))
+            else:
+                lines.append(format_event(ts, is_bind))
+            events.append((ts, is_bind))
+            newest = max(newest, ts)
+        log = ("\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))).encode()
+        expected = outcome(windowize(events, window_s, 25, tolerance_s=tolerance_s))
+        with mock.patch.object(ingest, "_BLOCK_SIZE", block_size):
+            got = outcome(read_windows(log, window_s, tolerance_s=tolerance_s))
+        if expected and isinstance(expected[-1], tuple):
+            # the reader reports the failing line's number; windowize has none
+            assert got[-1][:2] == expected[-1][:2]
+            got[-1], expected[-1] = got[-1][:2], expected[-1][:2]
+        assert got == expected
 
 
 class TestWindowStats:

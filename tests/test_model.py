@@ -9,9 +9,11 @@ from idletune import (
     Expression,
     InfeasibleTargetError,
     ModelParams,
+    SimResult,
     SolverPolicy,
     SystemConfig,
     TimeoutSolution,
+    WindowStats,
     failure_probability,
     feasibility_bound,
     simulate_failure_prob,
@@ -317,6 +319,14 @@ def system(**change) -> SystemConfig:
         (lambda: EstimatorState(1.5, 0.5, 0.01), "iteration must be an integer, got 1.5"),
         (lambda: EstimatorState(True, 0.5, 0.01), "iteration must be an integer, got True"),
         (lambda: EstimatorState(-1, 0.5, 0.01), "iteration must be >= 0, got -1"),
+        (lambda: WindowStats.from_counts(0, 10, 2.5, 1, 5), "n_requests must be an integer, got 2.5"),
+        (lambda: WindowStats.from_counts(0, 10, 3, 1.5, 5), "n_marked must be an integer, got 1.5"),
+        (lambda: WindowStats.from_counts(0, 10, -1, 0, 5), "n_requests must be >= 0, got -1"),
+        (lambda: WindowStats(0.0, 10.0, 2.5, 1, 0.4, 0.05, False), "n_requests must be an integer, got 2.5"),
+        (lambda: WindowStats(0.0, 10.0, 2, True, 0.5, 0.04, False), "n_marked must be an integer, got True"),
+        (lambda: SimResult(2.5, 1, 0.4, 0.1, 0), "trials must be an integer, got 2.5"),
+        (lambda: SimResult(10, 1.5, 0.15, 0.1, 0), "failures must be an integer, got 1.5"),
+        (lambda: SimResult(10, -1, 0.0, 0.0, 0), "failures must be >= 0, got -1"),
     ],
 )
 def test_every_count_is_checked_like_n_users(make, message):

@@ -42,15 +42,8 @@ from .errors import (
 )
 from .estimator import StepSchedule, TunerConfig, TunerRecord, run_tuner
 from .ingest import WindowStats, _read_windows, format_event
-from .model import (
-    DEFAULT_LARGE_N_THRESHOLD,
-    Expression,
-    ModelParams,
-    SolverPolicy,
-    failure_probability,
-    feasibility_bound,
-    solve_timeout,
-)
+from .model import DEFAULT_LARGE_N_THRESHOLD, ModelParams, failure_probability, feasibility_bound, solve_timeout
+from .model import _EXPRESSIONS
 from .sinks import make_sink
 
 __all__ = ["main", "entry_point"]
@@ -74,7 +67,7 @@ SETTINGS: dict[str, tuple[object, str | None, str]] = {
     "users": (int, ">= 1", "population size N"),
     "beta": (float, "positive and finite", "per-user request rate, 1/s"),
     "xi": (float, "in [0, 1]", "marked-request probability in [0, 1]"),
-    "expression": (("auto", "exact", "large-n"), None, "inversion to use (default {}: exact up to the threshold)"),
+    "expression": (_EXPRESSIONS, None, "inversion to use (default {}: exact up to the threshold)"),
     "large_n_threshold": (int, ">= 1", "population above which auto picks large-n (default {})"),
     "eps": (float, "in (0, 1)", "target failure probability (default {})"),
     "timeout": (float, ">= 0", "idle timeout to evaluate, seconds"),
@@ -186,11 +179,6 @@ def _parse_schedule(text: str) -> StepSchedule:
     raise ValueError(f"schedule {text!r} is not harmonic, power:A, or constant:C")
 
 
-def _policy(args: argparse.Namespace) -> SolverPolicy:
-    force = None if args.expression == "auto" else Expression(args.expression)
-    return SolverPolicy(large_n_threshold=args.large_n_threshold, force=force)
-
-
 def _model_params(args: argparse.Namespace) -> ModelParams:
     return ModelParams(n_users=args.users, beta=args.beta, xi=args.xi)
 
@@ -200,17 +188,17 @@ def _emit(record: dict) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    solution = solve_timeout(_model_params(args), args.eps, _policy(args))
+    solution = solve_timeout(_model_params(args), args.eps, args.expression, args.large_n_threshold)
     _emit(
         {
             "timeout_s": solution.timeout_s,
-            "expression": solution.expression.value,
+            "expression": solution.expression,
             "feasibility_bound": solution.feasibility_bound,
         }
     )
     print(
         f"idle timeout {solution.timeout_s:.6g} s reaches failure probability "
-        f"{args.eps:.6g} ({solution.expression.value} inversion; attainable floor "
+        f"{args.eps:.6g} ({solution.expression} inversion; attainable floor "
         f"{solution.feasibility_bound:.6g})",
         file=sys.stderr,
     )
@@ -311,7 +299,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         n_users=args.users,
         publish_delta_s=args.delta,
         schedule=_parse_schedule(args.schedule),
-        solver_policy=_policy(args),
+        expression=args.expression,
+        large_n_threshold=args.large_n_threshold,
     )
     sink = make_sink(args.sink)
     with contextlib.ExitStack() as stack:
@@ -355,10 +344,10 @@ def _open_out(path: str | None):
 # Each command: its handler, its help, and its settings with their defaults
 # (REQUIRED where there is none) in --help order.
 _MODEL = {"users": REQUIRED, "beta": REQUIRED, "xi": REQUIRED}
-_POLICY = {"expression": "auto", "large_n_threshold": DEFAULT_LARGE_N_THRESHOLD}
+_INVERSION = {"expression": "auto", "large_n_threshold": DEFAULT_LARGE_N_THRESHOLD}
 COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, object]]] = {
     "solve": (_cmd_solve, "timeout achieving a target failure probability",
-              {**_MODEL, **_POLICY, "eps": 0.1}),
+              {**_MODEL, **_INVERSION, "eps": 0.1}),
     "prob": (_cmd_prob, "failure probability at a given timeout", {**_MODEL, "timeout": REQUIRED}),
     "bound": (_cmd_bound, "lowest achievable failure probability", {"users": REQUIRED, "xi": REQUIRED}),
     "simulate": (_cmd_simulate, "Monte Carlo estimate of the failure probability",
@@ -369,7 +358,7 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, ob
     "gen-log": (_cmd_gen_log, "synthesize an event log with known parameters",
                 {**_MODEL, "duration": REQUIRED, "seed": 0, "out": None}),
     "tune": (_cmd_tune, "estimate parameters from an event log and publish timeouts",
-             {**_POLICY, "users": REQUIRED, "window": 1200.0, "eps": 0.1, "delta": 5.0,
+             {**_INVERSION, "users": REQUIRED, "window": 1200.0, "eps": 0.1, "delta": 5.0,
               "schedule": "harmonic", "sink": "stdout", "windows_out": None}),
 }
 
@@ -384,6 +373,9 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path!r} is not valid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer too long to convert, or nesting too deep to decode
+        raise ValueError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path!r} must hold a JSON object")
     unknown = sorted(data.keys() - SETTINGS.keys())

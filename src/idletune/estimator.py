@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Mapping, Protocol
 
 from .errors import CannotInitializeError, InfeasibleTargetError, SinkError
 from .ingest import WindowStats
-from .model import ModelParams, SolverPolicy, TimeoutSolution, _check_count, solve_timeout
+from .model import DEFAULT_LARGE_N_THRESHOLD, ModelParams, TimeoutSolution, solve_timeout
+from .model import _check_count, _pick_inversion
 
 __all__ = [
     "StepSchedule",
@@ -120,13 +121,15 @@ class EstimatorState:
 
 @dataclass(frozen=True)
 class TunerConfig:
-    """Loop parameters: target, population, publish gate, steps and solver."""
+    """Loop parameters: target, population, publish gate, steps, and the
+    ``expression`` and ``large_n_threshold`` that :func:`solve_timeout` takes."""
 
     target_eps: float
     n_users: int
     publish_delta_s: float = 5.0
     schedule: StepSchedule = StepSchedule.harmonic()
-    solver_policy: SolverPolicy = SolverPolicy()
+    expression: str = "auto"
+    large_n_threshold: int = DEFAULT_LARGE_N_THRESHOLD
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_eps < 1.0:
@@ -134,6 +137,7 @@ class TunerConfig:
         _check_count("n_users", self.n_users)
         if not self.publish_delta_s >= 0.0:
             raise ValueError(f"publish_delta_s must be >= 0, got {self.publish_delta_s!r}")
+        _pick_inversion(self.expression, self.large_n_threshold, self.n_users)
 
 
 def init_state(first_window: WindowStats) -> EstimatorState:
@@ -179,7 +183,7 @@ def recommend(state: EstimatorState, config: TunerConfig) -> TimeoutSolution:
         )
     params = ModelParams(n_users=config.n_users, beta=state.beta_hat, xi=state.xi_hat)
     try:
-        return solve_timeout(params, config.target_eps, config.solver_policy)
+        return solve_timeout(params, config.target_eps, config.expression, config.large_n_threshold)
     except InfeasibleTargetError as exc:
         raise InfeasibleTargetError(
             config.target_eps,
@@ -288,7 +292,7 @@ def run_tuner(
                     "xi_hat": state.xi_hat,
                     "beta_hat": state.beta_hat,
                     "target_eps": config.target_eps,
-                    "expression": solution.expression.value,
+                    "expression": solution.expression,
                 }
                 try:
                     sink.publish(solution.timeout_s, meta)

@@ -67,6 +67,9 @@ def parse_event(line: str, line_no: int = 0) -> Event:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(line_no, f"invalid record: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer too long to convert, or arrays nested too deep to decode
+        raise ParseError(line_no, f"invalid record: {exc}") from exc
     if not isinstance(record, dict):
         raise ParseError(line_no, f"expected an object, got {type(record).__name__}")
     try:
@@ -288,7 +291,7 @@ class _Windows:
         i = off = 0  # the first line not yet counted, and its byte offset
         while self.close_at <= ts[-1]:
             close_at, idx = self.close_at, self.next_emit
-            end = _gallop(ts, idx + 1, i, key)
+            end = bisect.bisect_left(ts, idx + 1, i, key=key)
             if end >= 2 and ts[end - 2] >= close_at:
                 # a line before end - 1 closed the window: the lines after it
                 # that round into the window are clamped past it
@@ -304,7 +307,7 @@ class _Windows:
         # the lines left fall in the open windows by their keys
         while i < len(ts):
             idx = max(int(key(ts[i])), self.next_emit)
-            end = _gallop(ts, idx + 1, i, key)
+            end = bisect.bisect_left(ts, idx + 1, i, key=key)
             end_off = start_of(end, off)
             self.add(idx, end - i, block.count(b'"bind"', off, end_off))
             i, off = end, end_off
@@ -317,17 +320,6 @@ class _Windows:
         last_idx = int((self.max_ts - self.anchor) // self.window_s)
         while self.next_emit <= last_idx or self.counts:
             yield self.emit()
-
-
-def _gallop(a: list[float], x: int, lo: int, key) -> int:
-    """``bisect_left(a, x, lo, key=key)``, probing lo, lo+1, lo+3, ... first,
-    so that a cut k places past ``lo`` costs O(log k) probes."""
-    hi, step = lo, 1
-    while hi < len(a) and key(a[hi]) < x:
-        lo = hi + 1
-        hi += step
-        step *= 2
-    return bisect.bisect_left(a, x, lo, min(hi, len(a)), key=key)
 
 
 def windowize(

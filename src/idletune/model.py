@@ -16,14 +16,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import InfeasibleTargetError
 
 __all__ = [
     "ModelParams",
-    "Expression",
-    "SolverPolicy",
     "TimeoutSolution",
     "state_probability",
     "failure_probability",
@@ -36,6 +33,9 @@ __all__ = [
 # Above this population the large-N approximation is indistinguishable from
 # the exact inversion at operational precision, and much cheaper to explain.
 DEFAULT_LARGE_N_THRESHOLD = 500
+
+# the labels solve_timeout takes: auto picks exact up to the threshold
+_EXPRESSIONS = ("auto", "exact", "large-n")
 
 
 def _check_count(name: str, value: int, least: int = 1) -> None:
@@ -77,43 +77,14 @@ class ModelParams:
         object.__setattr__(self, "xi", float(self.xi))
 
 
-class Expression(Enum):
-    """Which closed form produced a timeout."""
-
-    EXACT = "exact"
-    LARGE_N = "large-n"
-
-
-@dataclass(frozen=True)
-class SolverPolicy:
-    """Chooses between the exact inversion and the large-population form.
-
-    By default the exact expression is used up to ``large_n_threshold``
-    users and the approximation above it; ``force`` overrides the
-    dispatch entirely.
-    """
-
-    large_n_threshold: int = DEFAULT_LARGE_N_THRESHOLD
-    force: Expression | None = None
-
-    def __post_init__(self) -> None:
-        _check_count("large_n_threshold", self.large_n_threshold)
-
-    def select(self, n_users: int) -> Expression:
-        if self.force is not None:
-            return self.force
-        if n_users <= self.large_n_threshold:
-            return Expression.EXACT
-        return Expression.LARGE_N
-
-
 @dataclass(frozen=True)
 class TimeoutSolution:
-    """A solved idle timeout together with how it was obtained."""
+    """A solved idle timeout together with how it was obtained: ``expression``
+    is "exact" or "large-n"."""
 
     timeout_s: float
     target_eps: float
-    expression: Expression
+    expression: str
     feasibility_bound: float
 
     def __post_init__(self) -> None:
@@ -234,25 +205,39 @@ def solve_timeout_large_n(params: ModelParams, eps: float) -> float:
     return -math.log(eps) / (params.beta * params.xi * params.n_users)
 
 
+def _pick_inversion(expression: str, large_n_threshold: int, n_users: int) -> str:
+    """The inversion, "exact" or "large-n", that ``expression`` picks for
+    ``n_users`` users; ValueError unless ``expression`` is auto, exact or
+    large-n and ``large_n_threshold`` an integer >= 1."""
+    if expression not in _EXPRESSIONS:
+        raise ValueError(f"expression must be auto, exact, or large-n, got {expression!r}")
+    _check_count("large_n_threshold", large_n_threshold)
+    if expression != "auto":
+        return expression
+    return "exact" if n_users <= large_n_threshold else "large-n"
+
+
 def solve_timeout(
     params: ModelParams,
     eps: float,
-    policy: SolverPolicy | None = None,
+    expression: str = "auto",
+    large_n_threshold: int = DEFAULT_LARGE_N_THRESHOLD,
 ) -> TimeoutSolution:
-    """Solve for the idle timeout, dispatching per the policy.
+    """Solve for the idle timeout with the inversion ``expression`` names.
 
+    "exact" and "large-n" force that inversion; "auto" takes the exact one
+    up to ``large_n_threshold`` users and the large-N form above it.
     Records which expression produced the result and the feasibility bound
     for the inputs.  Infeasible targets raise regardless of the expression
     selected: the approximation cannot rescue an unattainable target.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-    policy = policy if policy is not None else SolverPolicy()
+    expression = _pick_inversion(expression, large_n_threshold, params.n_users)
     bound = feasibility_bound(params)
     if eps <= bound:
         raise InfeasibleTargetError(eps, bound)
-    expression = policy.select(params.n_users)
-    if expression is Expression.EXACT:
+    if expression == "exact":
         timeout_s = solve_timeout_exact(params, eps)
     else:
         timeout_s = solve_timeout_large_n(params, eps)

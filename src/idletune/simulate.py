@@ -195,15 +195,12 @@ def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
 
     for times in _arrival_batches(rng_arrivals, config.n_users * config.beta, config.duration_s):
         n = len(times)
-        if n == 0:
-            continue
+        total_requests += n
         marks = rng_marks.random(size=n) < config.xi
         procs = rng_dispatch.integers(0, config.n_processes, size=n)
-        for i in range(n):
-            t = float(times[i])
-            proc = int(procs[i])
-            total_requests += 1
-            if marks[i]:
+        # Python lists: indexing numpy arrays one element at a time is slow
+        for t, marked, proc in zip(times.tolist(), marks.tolist(), procs.tolist()):
+            if marked:
                 marked_requests += 1
                 gap = t - last_use[proc]
                 gaps.append(gap)

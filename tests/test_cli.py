@@ -700,6 +700,21 @@ class TestTuneInputEdges:
         assert (code, out) == (2, "")
         assert err == "error: 'utf-8' codec can't decode byte 0xff in position 100: invalid start byte\n"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(b"[" * 200_000 + b"\n", id="deep-nesting"),
+            pytest.param(b'{"ts": 1' + b"0" * 5000 + b', "kind": "bind"}\n', id="long-integer"),
+        ],
+    )
+    def test_a_line_json_cannot_decode_is_an_input_error(self, capsys, tmp_path, line):
+        lines = seeded_log(5, 50).encode().splitlines(keepends=True)
+        lines[1] = line
+        code, out, err = self.tune(capsys, tmp_path, b"".join(lines))
+        assert (code, out) == (4, "")
+        # the reason is Python's own, and differs between versions
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
     def test_a_malformed_line_in_the_third_read(self, capsys, tmp_path):
         lines = block_log(5000).splitlines(keepends=True)
         lines[4499] = b'{"ts": 1e5, "kind": "request"\n'
@@ -848,6 +863,20 @@ class TestConfigFile:
         )
         assert result.returncode == 2
         assert result.stderr == f"error: --{key.replace('_', '-')} must be a string, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 200_000, id="deep-nesting"),
+            pytest.param('{"users": 1' + "0" * 5000 + "}", id="long-integer"),
+        ],
+    )
+    def test_a_file_json_cannot_decode_is_a_usage_error(self, capsys, tmp_path, text):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "solve", "--config", str(config), *N150_FLAGS)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config file {str(config)!r} is not valid JSON: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key", ["large-n-threshold", "verbose", "config", "input"])
     def test_a_key_that_names_no_setting_is_a_usage_error(self, capsys, tmp_path, key):

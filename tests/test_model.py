@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from idletune import (
     EstimatorState,
-    Expression,
     InfeasibleTargetError,
     ModelParams,
     SimResult,
-    SolverPolicy,
     SystemConfig,
     TimeoutSolution,
+    TunerConfig,
     WindowStats,
     failure_probability,
     feasibility_bound,
@@ -252,30 +251,38 @@ class TestSolveTimeoutLargeN:
 class TestSolveTimeout:
     def test_small_population_uses_exact(self):
         solution = solve_timeout(POOL_N150, 0.1)
-        assert solution.expression is Expression.EXACT
+        assert solution.expression == "exact"
         assert solution.timeout_s == pytest.approx(87.03, rel=0.01)
         assert solution.target_eps == 0.1
         assert solution.feasibility_bound == feasibility_bound(POOL_N150)
 
     def test_large_population_uses_approximation(self):
         solution = solve_timeout(POOL_N10K, 0.1)
-        assert solution.expression is Expression.LARGE_N
+        assert solution.expression == "large-n"
         assert solution.timeout_s == pytest.approx(0.0065, rel=0.03)
 
     def test_forced_exact_agrees_at_scale(self):
-        forced = solve_timeout(POOL_N10K, 0.1, SolverPolicy(force=Expression.EXACT))
-        assert forced.expression is Expression.EXACT
+        forced = solve_timeout(POOL_N10K, 0.1, "exact")
+        assert forced.expression == "exact"
         approx = solve_timeout_large_n(POOL_N10K, 0.1)
         assert abs(forced.timeout_s - approx) / forced.timeout_s < 0.01
 
+    def test_each_label_solves_with_its_own_inversion(self):
+        # the two inversions differ by 5% at N=150, so a mislabelled one shows
+        assert solve_timeout(POOL_N150, 0.1, "exact").timeout_s == solve_timeout_exact(POOL_N150, 0.1)
+        assert solve_timeout(POOL_N150, 0.1, "large-n").timeout_s == solve_timeout_large_n(POOL_N150, 0.1)
+        assert solve_timeout_exact(POOL_N150, 0.1) != pytest.approx(solve_timeout_large_n(POOL_N150, 0.1), rel=0.01)
+
     def test_threshold_is_configurable(self):
-        low = solve_timeout(POOL_N150, 0.1, SolverPolicy(large_n_threshold=100))
-        assert low.expression is Expression.LARGE_N
+        low = solve_timeout(POOL_N150, 0.1, large_n_threshold=100)
+        assert low.expression == "large-n"
+        # auto keeps the exact inversion up to the threshold itself
+        assert solve_timeout(POOL_N150, 0.1, large_n_threshold=150).expression == "exact"
 
     def test_infeasible_regardless_of_expression(self):
-        for force in (None, Expression.EXACT, Expression.LARGE_N):
+        for expression in ("auto", "exact", "large-n"):
             with pytest.raises(InfeasibleTargetError):
-                solve_timeout(POOL_N150, 1e-12, SolverPolicy(force=force))
+                solve_timeout(POOL_N150, 1e-12, expression)
 
     def test_eps_must_be_interior(self):
         with pytest.raises(ValueError):
@@ -283,19 +290,29 @@ class TestSolveTimeout:
         with pytest.raises(ValueError):
             solve_timeout(POOL_N150, 0.0)
 
+    @pytest.mark.parametrize("expression", ["bogus", "EXACT", None, 1])
+    def test_unknown_label_is_rejected(self, expression):
+        with pytest.raises(ValueError) as err:
+            solve_timeout(POOL_N150, 0.1, expression)
+        assert str(err.value) == f"expression must be auto, exact, or large-n, got {expression!r}"
+
+    def test_tuner_config_checks_the_solve_arguments(self):
+        with pytest.raises(ValueError, match="expression must be auto, exact, or large-n, got 'bogus'"):
+            TunerConfig(target_eps=0.1, n_users=150, expression="bogus")
+        with pytest.raises(ValueError, match="large_n_threshold must be >= 1, got 0"):
+            TunerConfig(target_eps=0.1, n_users=150, large_n_threshold=0)
+        config = TunerConfig(target_eps=0.1, n_users=150, expression="large-n", large_n_threshold=100)
+        assert (config.expression, config.large_n_threshold) == ("large-n", 100)
+
 
 class TestTimeoutSolution:
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
-            TimeoutSolution(0.0, 0.1, Expression.EXACT, 0.01)
+            TimeoutSolution(0.0, 0.1, "exact", 0.01)
 
     def test_rejects_target_at_floor(self):
         with pytest.raises(ValueError):
-            TimeoutSolution(5.0, 0.01, Expression.EXACT, 0.01)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SolverPolicy(large_n_threshold=0)
+            TimeoutSolution(5.0, 0.01, "exact", 0.01)
 
 
 def system(**change) -> SystemConfig:
@@ -315,7 +332,8 @@ def system(**change) -> SystemConfig:
         (lambda: simulate_failure_prob(POOL_N150, 1.0, 2.5, 0), "trials must be an integer, got 2.5"),
         (lambda: simulate_failure_prob(POOL_N150, 1.0, True, 0), "trials must be an integer, got True"),
         (lambda: simulate_failure_prob(POOL_N150, 1.0, 0, 0), "trials must be >= 1, got 0"),
-        (lambda: SolverPolicy(large_n_threshold=2.5), "large_n_threshold must be an integer, got 2.5"),
+        (lambda: solve_timeout(POOL_N150, 0.1, large_n_threshold=2.5), "large_n_threshold must be an integer, got 2.5"),
+        (lambda: solve_timeout(POOL_N150, 0.1, large_n_threshold=0), "large_n_threshold must be >= 1, got 0"),
         (lambda: EstimatorState(1.5, 0.5, 0.01), "iteration must be an integer, got 1.5"),
         (lambda: EstimatorState(True, 0.5, 0.01), "iteration must be an integer, got True"),
         (lambda: EstimatorState(-1, 0.5, 0.01), "iteration must be >= 0, got -1"),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -184,6 +185,29 @@ class TestSimulateSystem:
             "idle_gap_max_s",
             "seed",
         }
+
+    @pytest.mark.parametrize(
+        "config, seed, digest",
+        [
+            pytest.param(
+                SystemConfig(40, 0.05, 0.3, n_processes=4, idle_timeout_s=20.0, duration_s=5000.0, process_life=7),
+                5,
+                "d02f073de8608c19c5cb90dab846bb75457a2138bfd4b1d023b1c5ea90191fff",
+                id="respawning-pool",
+            ),
+            pytest.param(
+                # the duration is the 8192nd arrival, so the third batch of
+                # 4096 draws lies wholly past it and is empty
+                SystemConfig(20, 0.05, 0.4, n_processes=3, idle_timeout_s=8.0, duration_s=8416.669656507605),
+                7,
+                "d17f5a25499c79d1bfdc02694d69d7d4c5f50f90996d863239ec4e38fb929051",
+                id="empty-last-batch",
+            ),
+        ],
+    )
+    def test_report_is_pinned(self, config, seed, digest):
+        report = simulate_system(config, seed)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "kwargs",

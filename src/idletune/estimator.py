@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Protocol
 
 from .errors import CannotInitializeError, InfeasibleTargetError, SinkError
 from .ingest import WindowStats
 from .model import DEFAULT_LARGE_N_THRESHOLD, ModelParams, TimeoutSolution, solve_timeout
-from .model import _check_count, _pick_inversion
+from .model import _check_count, _pick_inversion, _solve_timeout
 
 __all__ = [
     "StepSchedule",
@@ -152,20 +153,26 @@ def init_state(first_window: WindowStats) -> EstimatorState:
     return EstimatorState(iteration=0, xi_hat=first_window.chi, beta_hat=first_window.theta)
 
 
+def _step(
+    iteration: int, xi_hat: float, beta_hat: float, chi: float, theta: float, schedule: StepSchedule
+) -> tuple[int, float, float]:
+    """One recursion step on plain numbers: the next (iteration, xi_hat, beta_hat)."""
+    iteration += 1
+    eta = step_size(schedule, iteration)
+    xi_hat += eta * (chi - xi_hat)
+    beta_hat += eta * (theta - beta_hat)
+    # convex combination; the clamps only absorb last-ulp rounding
+    return iteration, min(1.0, max(0.0, xi_hat)), max(0.0, beta_hat)
+
+
 def update(state: EstimatorState, window: WindowStats, schedule: StepSchedule) -> EstimatorState:
     """One recursion step toward the window's (chi, theta) observation."""
     if window.n_requests == 0:
         raise ValueError("zero-traffic windows carry no observation; skip them upstream")
-    eta = step_size(schedule, state.iteration + 1)
-    xi_hat = state.xi_hat + eta * (window.chi - state.xi_hat)
-    beta_hat = state.beta_hat + eta * (window.theta - state.beta_hat)
-    return replace(
-        state,
-        iteration=state.iteration + 1,
-        # convex combination; the clamps only absorb last-ulp rounding
-        xi_hat=min(1.0, max(0.0, xi_hat)),
-        beta_hat=max(0.0, beta_hat),
+    iteration, xi_hat, beta_hat = _step(
+        state.iteration, state.xi_hat, state.beta_hat, window.chi, window.theta, schedule
     )
+    return replace(state, iteration=iteration, xi_hat=xi_hat, beta_hat=beta_hat)
 
 
 def recommend(state: EstimatorState, config: TunerConfig) -> TimeoutSolution:
@@ -196,13 +203,22 @@ def should_publish(state: EstimatorState, new_timeout_s: float, publish_delta_s:
     """True on the first recommendation or when the move is >= the threshold."""
     if not new_timeout_s > 0.0:
         raise ValueError(f"new_timeout_s must be positive, got {new_timeout_s!r}")
-    if state.last_published_timeout_s is None:
-        return True
-    return abs(new_timeout_s - state.last_published_timeout_s) >= publish_delta_s
+    return _moved(state.last_published_timeout_s, new_timeout_s, publish_delta_s)
+
+
+def _moved(last_published_timeout_s: float | None, new_timeout_s: float, publish_delta_s: float) -> bool:
+    return last_published_timeout_s is None or abs(new_timeout_s - last_published_timeout_s) >= publish_delta_s
 
 
 class PublishTarget(Protocol):
     def publish(self, timeout_s: float, meta: Mapping[str, object] | None = None) -> None: ...
+
+
+# A record's line as json.dumps writes it when its floats are finite
+_RECORD_LINE = (
+    '{"iteration": %d, "window_end_ts": %s, "chi": %s, "theta": %s, '
+    '"xi_hat": %s, "beta_hat": %s, "timeout_s": %s, "published": %s}'
+)
 
 
 @dataclass(frozen=True)
@@ -223,6 +239,30 @@ class TunerRecord:
     published: bool
 
     def to_json(self) -> str:
+        """The record as one JSON object, byte for byte what ``json.dumps`` writes."""
+        w, chi, theta, xi_hat, beta_hat, timeout_s = (
+            self.window_end_ts, self.chi, self.theta, self.xi_hat, self.beta_hat, self.timeout_s
+        )
+        # json.dumps writes a finite float, or a float subclass's value, with
+        # float.__repr__, which takes nothing but floats; a sum is finite
+        # only if each term is.  Anything else goes to json.dumps.
+        if type(self.iteration) is int and type(self.published) is bool:
+            try:
+                total = w + chi + theta + xi_hat + beta_hat + (0.0 if timeout_s is None else timeout_s)
+                if -math.inf < total < math.inf:
+                    r = float.__repr__
+                    return _RECORD_LINE % (
+                        self.iteration,
+                        r(w),
+                        r(chi),
+                        r(theta),
+                        r(xi_hat),
+                        r(beta_hat),
+                        "null" if timeout_s is None else r(timeout_s),
+                        "true" if self.published else "false",
+                    )
+            except TypeError:
+                pass
         # vars(self) would give every record a __dict__ for as long as it is kept
         return json.dumps({name: getattr(self, name) for name in self.__dataclass_fields__})
 
@@ -255,8 +295,19 @@ def run_tuner(
     made, before the next window is pulled from ``windows``, so a caller
     can emit records while a live stream is still being read.  The loop
     keeps no records: the report holds only counts and the final state.
+
+    Each step is :func:`update`, :func:`recommend` and :func:`should_publish`
+    on plain numbers: the estimates are kept as locals and go through the
+    same step and inversion those functions use, so no state or solution
+    object is made per window.
     """
-    state: EstimatorState | None = None
+    eps, n_users, schedule, publish_delta_s = (
+        config.target_eps, config.n_users, config.schedule, config.publish_delta_s
+    )
+    inversion = _pick_inversion(config.expression, config.large_n_threshold, n_users)
+    iteration = -1  # no estimates until the first window with traffic
+    xi_hat = beta_hat = 0.0
+    last_published: float | None = None
     skipped = 0
     n_published = 0
     failed_publishes = 0
@@ -267,58 +318,56 @@ def run_tuner(
                 "window starting at %s has no traffic; skipped", window.window_start_ts
             )
             continue
-        if state is None:
-            state = init_state(window)
+        chi, theta = window.chi, window.theta
+        if iteration < 0:
+            first = init_state(window)
+            iteration, xi_hat, beta_hat = first.iteration, first.xi_hat, first.beta_hat
         else:
-            state = update(state, window, config.schedule)
-        try:
-            solution = recommend(state, config)
-        except InfeasibleTargetError as exc:
+            iteration, xi_hat, beta_hat = _step(iteration, xi_hat, beta_hat, chi, theta, schedule)
+        # as in recommend: estimates at zero admit no timeout at all
+        timeout_s, bound = None, 1.0
+        if xi_hat > 0.0 and beta_hat > 0.0:
+            timeout_s, bound = _solve_timeout(n_users, beta_hat, xi_hat, eps, inversion)
+            if beta_hat == math.inf or not (timeout_s is None or 0.0 < timeout_s < math.inf):
+                # past the float range; recommend raises the ValueError that
+                # ModelParams or TimeoutSolution gives for it
+                recommend(EstimatorState(iteration, xi_hat, beta_hat), config)
+        window_end_ts = window.window_end_ts
+        published = False
+        if timeout_s is None:
             logger.warning(
                 "iteration %d: target %g infeasible (bound %g); holding published value",
-                state.iteration,
-                config.target_eps,
-                exc.bound,
+                iteration,
+                eps,
+                bound,
             )
-            solution = None
-        published = False
-        if solution is not None and should_publish(state, solution.timeout_s, config.publish_delta_s):
+        elif _moved(last_published, timeout_s, publish_delta_s):
             if sink is None:
                 published = True
             else:
                 meta = {
-                    "iteration": state.iteration,
-                    "window_end_ts": window.window_end_ts,
-                    "xi_hat": state.xi_hat,
-                    "beta_hat": state.beta_hat,
-                    "target_eps": config.target_eps,
-                    "expression": solution.expression,
+                    "iteration": iteration,
+                    "window_end_ts": window_end_ts,
+                    "xi_hat": xi_hat,
+                    "beta_hat": beta_hat,
+                    "target_eps": eps,
+                    "expression": inversion,
                 }
                 try:
-                    sink.publish(solution.timeout_s, meta)
+                    sink.publish(timeout_s, meta)
                     published = True
                 except SinkError as exc:
                     failed_publishes += 1
-                    logger.error("publish failed at iteration %d: %s", state.iteration, exc)
+                    logger.error("publish failed at iteration %d: %s", iteration, exc)
             if published:
                 n_published += 1
-                state = replace(state, last_published_timeout_s=solution.timeout_s)
-        record = TunerRecord(
-            iteration=state.iteration,
-            window_end_ts=window.window_end_ts,
-            chi=window.chi,
-            theta=window.theta,
-            xi_hat=state.xi_hat,
-            beta_hat=state.beta_hat,
-            timeout_s=None if solution is None else solution.timeout_s,
-            published=published,
-        )
+                last_published = timeout_s
         if on_record is not None:
-            on_record(record)
-    if state is None:
+            on_record(TunerRecord(iteration, window_end_ts, chi, theta, xi_hat, beta_hat, timeout_s, published))
+    if iteration < 0:
         raise CannotInitializeError("window stream contained no traffic")
     return TunerReport(
-        final_state=state,
+        final_state=EstimatorState(iteration, xi_hat, beta_hat, last_published),
         skipped_windows=skipped,
         n_published=n_published,
         failed_publishes=failed_publishes,

@@ -149,20 +149,10 @@ class WindowStats:
         n_users: int,
     ) -> "WindowStats":
         _check_count("n_users", n_users)
-        # checked before int() below turns a count of 2.5 into 2
-        _check_count("n_requests", n_requests, 0)
-        _check_count("n_marked", n_marked, 0)
+        # the counts are checked once, by __post_init__
         chi = n_marked / n_requests if n_requests else 0.0
         theta = n_requests / (n_users * window_s)
-        return cls(
-            window_start_ts=float(window_start_ts),
-            window_s=float(window_s),
-            n_requests=int(n_requests),
-            n_marked=int(n_marked),
-            chi=chi,
-            theta=theta,
-            zero_traffic=n_requests == 0,
-        )
+        return cls(float(window_start_ts), float(window_s), n_requests, n_marked, chi, theta, n_requests == 0)
 
     @property
     def window_end_ts(self) -> float:
@@ -391,13 +381,25 @@ def _read_windows(
                 yield from state.add_columns(*columns, block)
                 line_no += len(columns[1])
             else:
-                lines = block.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+                bad = None
+                try:
+                    text = block.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    # the lines before the one holding the bad byte are read
+                    # as usual, and it is reported like any malformed line
+                    bad = exc
+                    head = max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start)) + 1
+                    text = block[:head].decode("utf-8")
+                lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
                 if not lines[-1]:
                     lines.pop()
                 yield from state.add_pairs(
                     parse_event(line, no) for no, line in enumerate(lines, line_no + 1) if line.strip()
                 )
                 line_no += len(lines)
+                if bad is not None:
+                    byte = bad.object[bad.start]
+                    raise ParseError(line_no + 1, f"invalid UTF-8 byte {byte:#04x}: {bad.reason}")
         if not read:
             break
     yield from state.finish()

@@ -156,14 +156,53 @@ def feasibility_bound(params: ModelParams) -> float:
     This is the failure probability left over when the timeout grows
     without bound; no target at or below it can be met.
     """
-    if params.xi == 1.0:
+    return _bound(params.n_users, params.xi)
+
+
+def _bound(n_users: int, xi: float) -> float:
+    if xi == 1.0:
         return 0.0
-    return math.exp(params.n_users * math.log1p(-params.xi))
+    return math.exp(n_users * math.log1p(-xi))
 
 
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
+
+
+def _solve_timeout(n_users: int, beta: float, xi: float, eps: float, inversion: str) -> tuple[float | None, float]:
+    """The idle timeout that ``inversion`` ("exact" or "large-n") gives for
+    target ``eps``, or None where no finite timeout reaches it, and the
+    feasibility bound.
+
+    The arguments are plain numbers in the ranges :class:`ModelParams`
+    checks, with ``eps`` in (0, 1]; nothing is checked here.  A target at or
+    below the bound is infeasible for either inversion, including the
+    degenerate ``xi = 0`` case, whose bound is 1.
+    """
+    bound = _bound(n_users, xi)
+    if xi == 0.0 or eps <= bound:
+        return None, bound
+    if inversion == "large-n":
+        # the first-order series of the exact inversion
+        return -math.log(eps) / (beta * xi * n_users), bound
+    # solve (1 - xi*(1 - exp(-beta*t))) ** n_users = eps for t
+    c = math.log(eps) / n_users  # log of the required per-user survival level
+    if c > -0.5:
+        ratio = math.expm1(c) / xi  # in (-1, 0] when feasible
+        return (None if ratio <= -1.0 else -math.log1p(ratio) / beta), bound
+    # aggressive targets: exp(c) is far below 1, so keep it at full relative
+    # precision instead of flushing it against -1 inside expm1
+    headroom = math.exp(c) - (1.0 - xi)
+    return (None if headroom <= 0.0 else (math.log(xi) - math.log(headroom)) / beta), bound
+
+
+def _solved(params: ModelParams, eps: float, inversion: str) -> tuple[float, float]:
+    """The timeout and the bound; InfeasibleTargetError where no timeout reaches ``eps``."""
+    timeout_s, bound = _solve_timeout(params.n_users, params.beta, params.xi, eps, inversion)
+    if timeout_s is None:
+        raise InfeasibleTargetError(eps, bound)
+    return timeout_s, bound
 
 
 def solve_timeout_exact(params: ModelParams, eps: float) -> float:
@@ -175,22 +214,7 @@ def solve_timeout_exact(params: ModelParams, eps: float) -> float:
     finite timeout exists), including the degenerate ``xi = 0`` case.
     """
     _check_eps(eps)
-    n, beta, xi = params.n_users, params.beta, params.xi
-    bound = feasibility_bound(params)
-    if xi == 0.0 or eps <= bound:
-        raise InfeasibleTargetError(eps, bound)
-    c = math.log(eps) / n  # log of the required per-user survival level
-    if c > -0.5:
-        ratio = math.expm1(c) / xi  # in (-1, 0] when feasible
-        if ratio <= -1.0:
-            raise InfeasibleTargetError(eps, bound)
-        return -math.log1p(ratio) / beta
-    # aggressive targets: exp(c) is far below 1, so keep it at full relative
-    # precision instead of flushing it against -1 inside expm1
-    headroom = math.exp(c) - (1.0 - xi)
-    if headroom <= 0.0:
-        raise InfeasibleTargetError(eps, bound)
-    return (math.log(xi) - math.log(headroom)) / beta
+    return _solved(params, eps, "exact")[0]
 
 
 def solve_timeout_large_n(params: ModelParams, eps: float) -> float:
@@ -198,11 +222,11 @@ def solve_timeout_large_n(params: ModelParams, eps: float) -> float:
 
     ``t = -log(eps) / (beta * xi * n_users)``; the first-order series of
     the exact inversion, accurate once the population dwarfs the target.
+    Like the exact inversion it raises :class:`InfeasibleTargetError` when
+    ``eps`` does not exceed the feasibility bound.
     """
     _check_eps(eps)
-    if params.xi == 0.0:
-        raise InfeasibleTargetError(eps, 1.0, "no request is ever marked")
-    return -math.log(eps) / (params.beta * params.xi * params.n_users)
+    return _solved(params, eps, "large-n")[0]
 
 
 def _pick_inversion(expression: str, large_n_threshold: int, n_users: int) -> str:
@@ -234,13 +258,7 @@ def solve_timeout(
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     expression = _pick_inversion(expression, large_n_threshold, params.n_users)
-    bound = feasibility_bound(params)
-    if eps <= bound:
-        raise InfeasibleTargetError(eps, bound)
-    if expression == "exact":
-        timeout_s = solve_timeout_exact(params, eps)
-    else:
-        timeout_s = solve_timeout_large_n(params, eps)
+    timeout_s, bound = _solved(params, eps, expression)
     return TimeoutSolution(
         timeout_s=timeout_s,
         target_eps=eps,

@@ -696,9 +696,22 @@ class TestTuneInputEdges:
     def test_a_byte_that_is_not_utf8(self, capsys, tmp_path):
         data = bytearray(block_log(5000))
         data[100] = 0xFF
+        assert data[:100].count(b"\n") == 2
         code, out, err = self.tune(capsys, tmp_path, bytes(data))
-        assert (code, out) == (2, "")
-        assert err == "error: 'utf-8' codec can't decode byte 0xff in position 100: invalid start byte\n"
+        assert (code, out) == (4, "")
+        assert err == "error: line 3: invalid UTF-8 byte 0xff: invalid start byte\n"
+
+    def test_a_byte_that_is_not_utf8_in_the_second_read(self, capsys, tmp_path):
+        clean = block_log(5000)
+        data = bytearray(clean)
+        data[70_000] = 0xC3  # opens a two-byte sequence that the next byte does not continue
+        line = data[:70_000].count(b"\n") + 1
+        code, out, err = self.tune(capsys, tmp_path, bytes(data))
+        assert code == 4
+        assert err == f"error: line {line}: invalid UTF-8 byte 0xc3: invalid continuation byte\n"
+        # the windows closed before the bad line were reported as they closed
+        _, clean_out, _ = self.tune(capsys, tmp_path, clean)
+        assert out and clean_out.startswith(out)
 
     @pytest.mark.parametrize(
         "line",

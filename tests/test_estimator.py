@@ -1,6 +1,9 @@
 import json
+import logging
 import math
+import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from idletune import (
     SinkError,
     StepSchedule,
     TunerConfig,
+    TunerRecord,
     WindowStats,
     init_state,
     recommend,
@@ -376,6 +380,201 @@ class TestRunTuner:
         report = run_tuner(windows, TunerConfig(target_eps=0.1, n_users=n_users))
         se = math.sqrt(true_xi * (1 - true_xi) / total_requests)
         assert abs(report.final_state.xi_hat - true_xi) <= 4 * se
+
+
+def random_windows(seed: int, n_users: int, n_windows: int = 400) -> list[WindowStats]:
+    """Windows in stretches of steady traffic, some empty, some with no
+    marked request at all, so the estimates drift toward zero."""
+    rng = random.Random(seed)
+    # a steady start: the estimates stay put, so the timeout repeats exactly;
+    # then a long unmarked stretch takes even the harmonic mean to infeasible
+    windows = [WindowStats.from_counts(100.0 * i, 100.0, 40, 4, n_users) for i in range(3)]
+    stretches = [(0.0, 150)]
+    while len(windows) < n_windows:
+        xi, length = stretches.pop() if stretches else (rng.choice([0.0, 0.0005, 0.05, 0.3, 0.9]), rng.randint(5, 30))
+        mean = rng.choice([0.5, 5.0, 40.0])
+        for _ in range(length):
+            n_requests = 0 if rng.random() < 0.15 else 1 + int(rng.expovariate(1.0 / mean))
+            n_marked = sum(rng.random() < xi for _ in range(n_requests))
+            windows.append(WindowStats.from_counts(100.0 * len(windows), 100.0, n_requests, n_marked, n_users))
+    return windows
+
+
+class _RecordingSink:
+    """Keeps every publish it is given and fails every ``fail_every``-th one."""
+
+    def __init__(self, fail_every: int):
+        self.fail_every = fail_every
+        self.calls: list = []
+
+    def publish(self, timeout_s, meta=None):
+        self.calls.append((timeout_s, dict(meta)))
+        if self.fail_every and len(self.calls) % self.fail_every == 0:
+            raise SinkError("injected failure")
+
+
+def reference_run(windows, config: TunerConfig, sink=None):
+    """The tuning loop written with the public step functions alone: its
+    records, final state and infeasible-step warnings."""
+    records = []
+    warnings = []
+    state = None
+    for w in windows:
+        if w.n_requests == 0:
+            continue
+        state = init_state(w) if state is None else update(state, w, config.schedule)
+        try:
+            solution = recommend(state, config)
+        except InfeasibleTargetError as exc:
+            solution = None
+            warnings.append(
+                f"iteration {state.iteration}: target {config.target_eps:g} infeasible "
+                f"(bound {exc.bound:g}); holding published value"
+            )
+        published = False
+        if solution is not None and should_publish(state, solution.timeout_s, config.publish_delta_s):
+            try:
+                if sink is not None:
+                    meta = {
+                        "iteration": state.iteration,
+                        "window_end_ts": w.window_end_ts,
+                        "xi_hat": state.xi_hat,
+                        "beta_hat": state.beta_hat,
+                        "target_eps": config.target_eps,
+                        "expression": solution.expression,
+                    }
+                    sink.publish(solution.timeout_s, meta)
+                published = True
+                state = replace(state, last_published_timeout_s=solution.timeout_s)
+            except SinkError:
+                pass
+        records.append(
+            TunerRecord(
+                state.iteration,
+                w.window_end_ts,
+                w.chi,
+                w.theta,
+                state.xi_hat,
+                state.beta_hat,
+                None if solution is None else solution.timeout_s,
+                published,
+            )
+        )
+    return records, state, warnings
+
+
+def tuner_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "idletune.estimator" and r.levelno == logging.WARNING]
+
+
+class TestRunTunerMatchesThePublicFunctions:
+    """run_tuner steps on plain numbers; it must agree with a loop built from
+    init_state, update, recommend and should_publish, record for record."""
+
+    @pytest.mark.parametrize("schedule", ["harmonic", "power:0.7", "constant:0.5"])
+    @pytest.mark.parametrize("expression", ["exact", "large-n", "auto"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_records(self, caplog, schedule, expression, seed):
+        kind, _, value = schedule.partition(":")
+        # auto picks exact for 150 users and large-n for 700
+        n_users = [150, 700][seed - 1]
+        config = TunerConfig(
+            target_eps=[0.1, 0.01][seed - 1],
+            n_users=n_users,
+            publish_delta_s=[0.0, 5.0][seed - 1],
+            schedule=StepSchedule(kind, float(value) if value else None),
+            expression=expression,
+            large_n_threshold=150,
+        )
+        windows = random_windows(seed, n_users)
+        for fail_every in (None, 3):
+            sinks = [None, None] if fail_every is None else [_RecordingSink(fail_every), _RecordingSink(fail_every)]
+            expected, state, warnings = reference_run(windows, config, sinks[0])
+            seen: list = []
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="idletune.estimator"):
+                report = run_tuner(windows, config, sinks[1], on_record=seen.append)
+            assert seen == expected
+            assert report.final_state == state
+            assert report.skipped_windows == sum(w.n_requests == 0 for w in windows)
+            assert report.n_published == sum(r.published for r in expected)
+            assert tuner_warnings(caplog) == warnings
+            infeasible = [r for r in expected if r.timeout_s is None]
+            if fail_every is not None:
+                assert sinks[1].calls == sinks[0].calls
+                assert report.failed_publishes == len(sinks[0].calls) // fail_every
+            # the stream covers the cases the fast path must get right
+            assert 0 < len(infeasible) < len(expected)
+            assert 0 < report.skipped_windows
+            assert 0 < report.n_published < len(expected)
+
+    def test_estimates_at_the_ends_of_the_float_range(self, caplog):
+        config = TunerConfig(target_eps=0.1, n_users=150)
+        # n_users * window_s overflows, so theta is 0: no timeout at all
+        vast = [WindowStats.from_counts(0.0, 1e308, 5, 2, 150)] * 3
+        assert vast[0].theta == 0.0
+        expected, state, warnings = reference_run(vast, config)
+        seen: list = []
+        with caplog.at_level(logging.WARNING, logger="idletune.estimator"):
+            report = run_tuner(vast, config, on_record=seen.append)
+        assert seen == expected and report.final_state == state
+        assert tuner_warnings(caplog) == warnings
+        assert [r.timeout_s for r in seen] == [None] * 3 and "(bound 1)" in warnings[0]
+        # a window so short that theta is infinite: recommend's own error,
+        # also where the target would be infeasible at the estimates
+        for n_marked in (2, 1):
+            brief = [WindowStats.from_counts(0.0, 1e-320, 1000, n_marked, 150)]
+            assert brief[0].theta == math.inf
+            with pytest.raises(ValueError) as err:
+                reference_run(brief, config)
+            with pytest.raises(ValueError) as fast_err:
+                run_tuner(brief, config)
+            assert str(fast_err.value) == str(err.value) == "beta must be positive and finite, got inf"
+
+
+class TestRecordEncoding:
+    """TunerRecord.to_json writes its line from a template; the bytes must be
+    those json.dumps writes for the same fields."""
+
+    @staticmethod
+    def dumps(record: TunerRecord) -> str:
+        return json.dumps({name: getattr(record, name) for name in TunerRecord.__dataclass_fields__})
+
+    @pytest.mark.parametrize("timeout_s", [None, 87.03, 5e-324, 1e16])
+    @pytest.mark.parametrize("published", [True, False])
+    def test_flags_and_timeout(self, timeout_s, published):
+        record = TunerRecord(7, 1200.0, 0.25, 0.001, 0.3, 0.0015, timeout_s, published)
+        assert record.to_json() == self.dumps(record)
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-7, 1e16, 0.1 + 0.2, 0.0, -0.0, 1.7976931348623157e308])
+    def test_floats(self, value):
+        record = TunerRecord(0, value, value, value, value, value, value, True)
+        assert record.to_json() == self.dumps(record)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_value_that_is_not_finite(self, value):
+        record = TunerRecord(3, value, 0.5, 0.01, 0.5, 0.01, 12.5, False)
+        assert record.to_json() == self.dumps(record)
+        assert record.to_json().startswith('{"iteration": 3, "window_end_ts": ' + json.dumps(value) + ",")
+
+    def test_finite_floats_whose_sum_overflows(self):
+        big = 1.7976931348623157e308
+        record = TunerRecord(1, big, 0.5, big, 0.5, big, big, True)
+        assert record.to_json() == self.dumps(record)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(window_end_ts=1200),  # an int where a float is expected
+            dict(chi=np.float64(0.1) + 0.2),  # a float subclass
+            dict(timeout_s=np.float64(87.5)),
+            dict(iteration=True),
+            dict(published=1),
+        ],
+    )
+    def test_other_number_types(self, fields):
+        record = replace(TunerRecord(4, 1200.0, 0.25, 0.001, 0.3, 0.0015, 87.0, True), **fields)
+        assert record.to_json() == self.dumps(record)
 
 
 class TestConfigValidation:

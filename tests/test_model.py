@@ -247,6 +247,14 @@ class TestSolveTimeoutLargeN:
         with pytest.raises(InfeasibleTargetError):
             solve_timeout_large_n(ModelParams(100, 0.5, 0.0), 0.1)
 
+    def test_target_at_or_below_floor_rejected(self):
+        # the approximation cannot rescue an unattainable target either
+        params = ModelParams(20, 0.1, 0.4)
+        for eps in (feasibility_bound(params), 1e-9):
+            with pytest.raises(InfeasibleTargetError) as err:
+                solve_timeout_large_n(params, eps)
+            assert err.value.bound == feasibility_bound(params)
+
 
 class TestSolveTimeout:
     def test_small_population_uses_exact(self):
@@ -340,6 +348,8 @@ def system(**change) -> SystemConfig:
         (lambda: WindowStats.from_counts(0, 10, 2.5, 1, 5), "n_requests must be an integer, got 2.5"),
         (lambda: WindowStats.from_counts(0, 10, 3, 1.5, 5), "n_marked must be an integer, got 1.5"),
         (lambda: WindowStats.from_counts(0, 10, -1, 0, 5), "n_requests must be >= 0, got -1"),
+        (lambda: WindowStats.from_counts(0, 10, True, 0, 5), "n_requests must be an integer, got True"),
+        (lambda: WindowStats.from_counts(0, 10, 3, -1, 5), "n_marked must be >= 0, got -1"),
         (lambda: WindowStats(0.0, 10.0, 2.5, 1, 0.4, 0.05, False), "n_requests must be an integer, got 2.5"),
         (lambda: WindowStats(0.0, 10.0, 2, True, 0.5, 0.04, False), "n_marked must be an integer, got True"),
         (lambda: SimResult(2.5, 1, 0.4, 0.1, 0), "trials must be an integer, got 2.5"),

@@ -27,7 +27,6 @@ import contextlib
 import functools
 import json
 import logging
-import math
 import os
 import stat
 import sys
@@ -43,7 +42,7 @@ from .errors import (
 from .estimator import StepSchedule, TunerConfig, TunerRecord, run_tuner
 from .ingest import WindowStats, _read_windows, format_event
 from .model import DEFAULT_LARGE_N_THRESHOLD, ModelParams, failure_probability, feasibility_bound, solve_timeout
-from .model import _EXPRESSIONS
+from .model import _EXPRESSIONS, _check
 from .sinks import make_sink
 
 __all__ = ["main", "entry_point"]
@@ -60,9 +59,10 @@ PATH = "PATH"  # a string setting that names a file
 REQUIRED = object()  # the default of a setting that must be given
 
 # Every setting once: its type (int, float, str, PATH, or a tuple of
-# choices), the range a number must lie in (a key of RANGES, or None), and
-# its help text, in which "{}" stands for the default.  The ranges are the
-# library's own, so that a bad value is reported under the flag's name.
+# choices), the range a number must lie in (a key of model._RANGES, or
+# None), and its help text, in which "{}" stands for the default.  The
+# ranges are the library's own, checked here so that a bad value is
+# reported under the flag's name.
 SETTINGS: dict[str, tuple[object, str | None, str]] = {
     "users": (int, ">= 1", "population size N"),
     "beta": (float, "positive and finite", "per-user request rate, 1/s"),
@@ -83,15 +83,6 @@ SETTINGS: dict[str, tuple[object, str | None, str]] = {
     "schedule": (str, None, "step sizes: harmonic, power:A with A in (0.5, 1], or constant:C (default {})"),
     "sink": (str, None, "publish target: stdout, file:PATH, ldif:PATH, or webhook:URL (default {})"),
     "windows_out": (PATH, None, "also write per-window statistics to this file"),
-}
-
-# each range a setting may name, with its test; NaN passes none of them
-RANGES: dict[str, Callable[[float], bool]] = {
-    ">= 0": lambda x: x >= 0,
-    ">= 1": lambda x: x >= 1,
-    "positive and finite": lambda x: 0 < x < math.inf,
-    "in [0, 1]": lambda x: 0 <= x <= 1,
-    "in (0, 1)": lambda x: 0 < x < 1,
 }
 
 # the two places where a command words a shared setting its own way
@@ -139,8 +130,7 @@ def _checked(name: str, value, source: str):
     kind, bounds, _ = SETTINGS[name]
     if kind in (int, float):
         value = _as_int(source, value) if kind is int else _as_float(source, value)
-        if not RANGES[bounds](value):
-            raise ValueError(f"{source} must be {bounds}, got {value!r}")
+        _check(source, value, bounds)
     elif isinstance(kind, tuple):
         if value not in kind:
             raise ValueError(f"{source} must be {', '.join(kind[:-1])}, or {kind[-1]}, got {value!r}")

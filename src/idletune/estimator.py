@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Protocol
 from .errors import CannotInitializeError, InfeasibleTargetError, SinkError
 from .ingest import WindowStats
 from .model import DEFAULT_LARGE_N_THRESHOLD, ModelParams, TimeoutSolution, solve_timeout
-from .model import _check_count, _pick_inversion, _solve_timeout
+from .model import _check, _check_count, _pick_inversion, _solve_timeout
 
 __all__ = [
     "StepSchedule",
@@ -79,19 +79,10 @@ class StepSchedule:
     def harmonic(cls) -> "StepSchedule":
         return cls("harmonic")
 
-    @classmethod
-    def power(cls, exponent: float) -> "StepSchedule":
-        return cls("power", exponent)
-
-    @classmethod
-    def constant(cls, value: float) -> "StepSchedule":
-        return cls("constant", value)
-
 
 def step_size(schedule: StepSchedule, n: int) -> float:
     """eta_n for step index n >= 0; always in (0, 1]."""
-    if n < 0:
-        raise ValueError(f"step index must be >= 0, got {n}")
+    _check("step index", n, ">= 0")
     if schedule.kind == "harmonic":
         return 1.0 / (n + 1)
     if schedule.kind == "power":
@@ -110,14 +101,10 @@ class EstimatorState:
 
     def __post_init__(self) -> None:
         _check_count("iteration", self.iteration, 0)
-        if not 0.0 <= self.xi_hat <= 1.0:
-            raise ValueError(f"xi_hat must lie in [0, 1], got {self.xi_hat!r}")
-        if not self.beta_hat >= 0.0:
-            raise ValueError(f"beta_hat must be >= 0, got {self.beta_hat!r}")
-        if self.last_published_timeout_s is not None and not self.last_published_timeout_s > 0.0:
-            raise ValueError(
-                f"last_published_timeout_s must be positive, got {self.last_published_timeout_s!r}"
-            )
+        _check("xi_hat", self.xi_hat, "in [0, 1]")
+        _check("beta_hat", self.beta_hat, ">= 0")
+        if self.last_published_timeout_s is not None:
+            _check("last_published_timeout_s", self.last_published_timeout_s, "positive")
 
 
 @dataclass(frozen=True)
@@ -133,11 +120,9 @@ class TunerConfig:
     large_n_threshold: int = DEFAULT_LARGE_N_THRESHOLD
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.target_eps < 1.0:
-            raise ValueError(f"target_eps must lie in (0, 1), got {self.target_eps!r}")
+        _check("target_eps", self.target_eps, "in (0, 1)")
         _check_count("n_users", self.n_users)
-        if not self.publish_delta_s >= 0.0:
-            raise ValueError(f"publish_delta_s must be >= 0, got {self.publish_delta_s!r}")
+        _check("publish_delta_s", self.publish_delta_s, ">= 0")
         _pick_inversion(self.expression, self.large_n_threshold, self.n_users)
 
 
@@ -201,8 +186,7 @@ def recommend(state: EstimatorState, config: TunerConfig) -> TimeoutSolution:
 
 def should_publish(state: EstimatorState, new_timeout_s: float, publish_delta_s: float) -> bool:
     """True on the first recommendation or when the move is >= the threshold."""
-    if not new_timeout_s > 0.0:
-        raise ValueError(f"new_timeout_s must be positive, got {new_timeout_s!r}")
+    _check("new_timeout_s", new_timeout_s, "positive")
     return _moved(state.last_published_timeout_s, new_timeout_s, publish_delta_s)
 
 
@@ -329,9 +313,10 @@ def run_tuner(
         if xi_hat > 0.0 and beta_hat > 0.0:
             timeout_s, bound = _solve_timeout(n_users, beta_hat, xi_hat, eps, inversion)
             if beta_hat == math.inf or not (timeout_s is None or 0.0 < timeout_s < math.inf):
-                # past the float range; recommend raises the ValueError that
-                # ModelParams or TimeoutSolution gives for it
-                recommend(EstimatorState(iteration, xi_hat, beta_hat), config)
+                # past the float range: the error recommend gives, from
+                # ModelParams or else from TimeoutSolution
+                _check("beta", beta_hat, "positive and finite")
+                _check("timeout_s", timeout_s, "positive and finite")
         window_end_ts = window.window_end_ts
         published = False
         if timeout_s is None:

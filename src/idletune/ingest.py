@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, SequencingError
-from .model import _check_count
+from .model import _check, _check_count
 
 __all__ = [
     "REORDER_TOLERANCE_S",
@@ -124,18 +124,15 @@ class WindowStats:
     zero_traffic: bool
 
     def __post_init__(self) -> None:
-        if not (self.window_s > 0.0 and math.isfinite(self.window_s)):
-            raise ValueError(f"window_s must be positive and finite, got {self.window_s!r}")
+        _check("window_s", self.window_s, "positive and finite")
         _check_count("n_requests", self.n_requests, 0)
         _check_count("n_marked", self.n_marked, 0)
         if self.n_marked > self.n_requests:
             raise ValueError(
                 f"n_marked {self.n_marked} exceeds n_requests {self.n_requests}"
             )
-        if not 0.0 <= self.chi <= 1.0:
-            raise ValueError(f"chi must lie in [0, 1], got {self.chi!r}")
-        if self.theta < 0.0:
-            raise ValueError(f"theta must be >= 0, got {self.theta!r}")
+        _check("chi", self.chi, "in [0, 1]")
+        _check("theta", self.theta, ">= 0")
         if self.zero_traffic != (self.n_requests == 0):
             raise ValueError("zero_traffic flag inconsistent with n_requests")
 
@@ -173,11 +170,9 @@ class _Windows:
     """
 
     def __init__(self, window_s: float, n_users: int, tolerance_s: float) -> None:
-        if window_s <= 0.0 or not math.isfinite(window_s):
-            raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
+        _check("window_s", window_s, "positive and finite")
         _check_count("n_users", n_users)
-        if tolerance_s < 0.0:
-            raise ValueError(f"tolerance_s must be >= 0, got {tolerance_s!r}")
+        _check("tolerance_s", tolerance_s, ">= 0")
         self.window_s = window_s
         self.n_users = n_users
         self.tolerance_s = tolerance_s
@@ -200,14 +195,17 @@ class _Windows:
         return self.max_ts <= ts and self.max_ts < self.close_at
 
     def emit(self) -> WindowStats:
-        """Release window ``next_emit``."""
+        """Release window ``next_emit``; ValueError if its per-user rate is infinite."""
         idx = self.next_emit
         n_requests, n_marked = self.counts.pop(idx, (0, 0))
         self.next_emit = idx + 1
         self.close_at = self.anchor + (idx + 2) * self.window_s + self.tolerance_s
-        return WindowStats.from_counts(
+        window = WindowStats.from_counts(
             self.anchor + idx * self.window_s, self.window_s, n_requests, n_marked, self.n_users
         )
+        if window.theta == math.inf:
+            raise ValueError(f"window length {self.window_s!r} s is too short for a finite per-user request rate")
+        return window
 
     def add(self, idx: int, n_requests: int, n_marked: int) -> None:
         cell = self.counts.get(idx)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InfeasibleTargetError
 
@@ -26,7 +27,6 @@ __all__ = [
     "failure_probability",
     "feasibility_bound",
     "solve_timeout_exact",
-    "solve_timeout_large_n",
     "solve_timeout",
 ]
 
@@ -36,6 +36,24 @@ DEFAULT_LARGE_N_THRESHOLD = 500
 
 # the labels solve_timeout takes: auto picks exact up to the threshold
 _EXPRESSIONS = ("auto", "exact", "large-n")
+
+
+# each range a number is checked against, as errors word it, with its test;
+# NaN passes none.  The library and the command line's flags share it.
+_RANGES: dict[str, Callable[[float], bool]] = {
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    "positive": lambda x: x > 0,
+    "positive and finite": lambda x: 0 < x < math.inf,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in (0, 1)": lambda x: 0 < x < 1,
+}
+
+
+def _check(name: str, value: float, bounds: str) -> None:
+    """Raise ValueError unless ``value`` lies in the range ``bounds``, a key of :data:`_RANGES`."""
+    if not _RANGES[bounds](value):
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
 def _check_count(name: str, value: int, least: int = 1) -> None:
@@ -67,10 +85,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         _check_count("n_users", self.n_users)
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"xi must lie in [0, 1], got {self.xi!r}")
+        _check("beta", self.beta, "positive and finite")
+        _check("xi", self.xi, "in [0, 1]")
         # normalize numpy scalars so downstream integer math is exact
         object.__setattr__(self, "n_users", int(self.n_users))
         object.__setattr__(self, "beta", float(self.beta))
@@ -88,8 +104,7 @@ class TimeoutSolution:
     feasibility_bound: float
 
     def __post_init__(self) -> None:
-        if not (self.timeout_s > 0.0 and math.isfinite(self.timeout_s)):
-            raise ValueError(f"timeout_s must be positive and finite, got {self.timeout_s!r}")
+        _check("timeout_s", self.timeout_s, "positive and finite")
         if not self.target_eps > self.feasibility_bound:
             raise ValueError(
                 f"target_eps {self.target_eps!r} does not exceed the feasibility "
@@ -114,8 +129,7 @@ def state_probability(params: ModelParams, k: int, t: float) -> float:
     large populations.
     """
     _check_state_index(params, k)
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    _check("t", t, ">= 0")
     n = params.n_users
     p = -math.expm1(-params.beta * t)
     if p == 0.0:
@@ -134,8 +148,7 @@ def failure_probability(params: ModelParams, timeout_s: float) -> float:
     of marked requests (and the next bind finds a dropped connection) with
     probability ``(1 - xi*(1 - exp(-beta*t))) ** n_users``.
 """
-    if not timeout_s >= 0.0:
-        raise ValueError(f"timeout_s must be >= 0, got {timeout_s!r}")
+    _check("timeout_s", timeout_s, ">= 0")
     n, beta, xi = params.n_users, params.beta, params.xi
     x = xi * -math.expm1(-beta * timeout_s)
     if x < 0.5:
@@ -165,18 +178,13 @@ def _bound(n_users: int, xi: float) -> float:
     return math.exp(n_users * math.log1p(-xi))
 
 
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
-
-
 def _solve_timeout(n_users: int, beta: float, xi: float, eps: float, inversion: str) -> tuple[float | None, float]:
     """The idle timeout that ``inversion`` ("exact" or "large-n") gives for
     target ``eps``, or None where no finite timeout reaches it, and the
     feasibility bound.
 
     The arguments are plain numbers in the ranges :class:`ModelParams`
-    checks, with ``eps`` in (0, 1]; nothing is checked here.  A target at or
+    checks, with ``eps`` in (0, 1); nothing is checked here.  A target at or
     below the bound is infeasible for either inversion, including the
     degenerate ``xi = 0`` case, whose bound is 1.
     """
@@ -197,36 +205,10 @@ def _solve_timeout(n_users: int, beta: float, xi: float, eps: float, inversion: 
     return (None if headroom <= 0.0 else (math.log(xi) - math.log(headroom)) / beta), bound
 
 
-def _solved(params: ModelParams, eps: float, inversion: str) -> tuple[float, float]:
-    """The timeout and the bound; InfeasibleTargetError where no timeout reaches ``eps``."""
-    timeout_s, bound = _solve_timeout(params.n_users, params.beta, params.xi, eps, inversion)
-    if timeout_s is None:
-        raise InfeasibleTargetError(eps, bound)
-    return timeout_s, bound
-
-
 def solve_timeout_exact(params: ModelParams, eps: float) -> float:
-    """Idle timeout achieving failure probability ``eps``, exact inversion.
-
-    Solves ``(1 - xi*(1 - exp(-beta*t))) ** n_users = eps`` for ``t``.
-    Raises :class:`InfeasibleTargetError` when ``eps`` does not strictly
-    exceed the feasibility bound (the log argument leaves (0, 1] and no
-    finite timeout exists), including the degenerate ``xi = 0`` case.
-    """
-    _check_eps(eps)
-    return _solved(params, eps, "exact")[0]
-
-
-def solve_timeout_large_n(params: ModelParams, eps: float) -> float:
-    """Large-population approximation of the timeout inversion.
-
-    ``t = -log(eps) / (beta * xi * n_users)``; the first-order series of
-    the exact inversion, accurate once the population dwarfs the target.
-    Like the exact inversion it raises :class:`InfeasibleTargetError` when
-    ``eps`` does not exceed the feasibility bound.
-    """
-    _check_eps(eps)
-    return _solved(params, eps, "large-n")[0]
+    """``solve_timeout(params, eps, "exact").timeout_s``: the idle timeout
+    that solves ``(1 - xi*(1 - exp(-beta*t))) ** n_users = eps`` for ``t``."""
+    return solve_timeout(params, eps, "exact").timeout_s
 
 
 def _pick_inversion(expression: str, large_n_threshold: int, n_users: int) -> str:
@@ -250,15 +232,17 @@ def solve_timeout(
     """Solve for the idle timeout with the inversion ``expression`` names.
 
     "exact" and "large-n" force that inversion; "auto" takes the exact one
-    up to ``large_n_threshold`` users and the large-N form above it.
+    up to ``large_n_threshold`` users and the large-N form above it,
+    ``t = -log(eps) / (beta * xi * n_users)``, the exact one's first-order series.
     Records which expression produced the result and the feasibility bound
     for the inputs.  Infeasible targets raise regardless of the expression
     selected: the approximation cannot rescue an unattainable target.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
+    _check("eps", eps, "in (0, 1)")
     expression = _pick_inversion(expression, large_n_threshold, params.n_users)
-    timeout_s, bound = _solved(params, eps, expression)
+    timeout_s, bound = _solve_timeout(params.n_users, params.beta, params.xi, eps, expression)
+    if timeout_s is None:
+        raise InfeasibleTargetError(eps, bound)
     return TimeoutSolution(
         timeout_s=timeout_s,
         target_eps=eps,

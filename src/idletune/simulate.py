@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ModelParams, _check_count
+from .model import ModelParams, _check, _check_count
 
 __all__ = [
     "SimResult",
@@ -38,8 +38,7 @@ def _streams(seed: int, n: int) -> Iterator[np.random.Generator]:
     """``n`` independent PCG64 generators spawned from ``SeedSequence(seed)``."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check("seed", seed, ">= 0")
     children = np.random.SeedSequence(seed).spawn(n)
     return (np.random.Generator(np.random.PCG64(child)) for child in children)
 
@@ -77,14 +76,14 @@ def simulate_failure_prob(
 ) -> SimResult:
     """Estimate by sampling the probability that a window sees no marked request.
 
-    Each trial draws the number of users who fire within the timeout as a
-    binomial, then thins it by the marking probability; the trial fails
-    when no marked request remains.  This samples the mechanism directly
-    rather than evaluating any closed expression, so it serves as an
-    independent check of one.
+    Each trial counts the users who fire a marked request within the
+    timeout and fails when there are none.  Thinning a binomial gives a
+    binomial: Binomial(Binomial(N, p), xi) has the law of Binomial(N, p*xi),
+    so a trial is one draw of Binomial(n_users, p_fire * xi).  This samples
+    the mechanism rather than evaluating any closed expression, so it
+    serves as an independent check of one.
     """
-    if not timeout_s >= 0.0:
-        raise ValueError(f"timeout_s must be >= 0, got {timeout_s!r}")
+    _check("timeout_s", timeout_s, ">= 0")
     _check_count("trials", trials)
     p_fire = -math.expm1(-params.beta * timeout_s)
     failures = 0
@@ -92,8 +91,7 @@ def simulate_failure_prob(
     for rng in _streams(seed, -(-trials // _TRIAL_CHUNK)):
         size = min(_TRIAL_CHUNK, remaining)
         remaining -= size
-        fired = rng.binomial(params.n_users, p_fire, size=size)
-        marked = rng.binomial(fired, params.xi)
+        marked = rng.binomial(params.n_users, p_fire * params.xi, size=size)
         failures += int(np.count_nonzero(marked == 0))
     return SimResult.from_counts(trials, failures, seed)
 
@@ -124,10 +122,8 @@ class SystemConfig:
         _check_count("n_processes", self.n_processes)
         if self.process_life is not None:
             _check_count("process_life", self.process_life)
-        if not self.idle_timeout_s >= 0.0:
-            raise ValueError(f"idle_timeout_s must be >= 0, got {self.idle_timeout_s!r}")
-        if not (self.duration_s > 0.0 and math.isfinite(self.duration_s)):
-            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s!r}")
+        _check("idle_timeout_s", self.idle_timeout_s, ">= 0")
+        _check("duration_s", self.duration_s, "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -234,8 +230,7 @@ def generate_event_log(params: ModelParams, duration_s: float, seed: int) -> Ite
     per-user streams at rate beta; each event is independently a bind with
     probability xi.  Deterministic given the seed.
     """
-    if not (duration_s > 0.0 and math.isfinite(duration_s)):
-        raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
+    _check("duration_s", duration_s, "positive and finite")
     rng_arrivals, rng_marks = _streams(seed, 2)
     for times in _arrival_batches(rng_arrivals, params.n_users * params.beta, duration_s):
         marks = rng_marks.random(size=len(times)) < params.xi

@@ -11,8 +11,9 @@ import time
 
 import pytest
 
-from idletune import ModelParams, solve_timeout
+from idletune import EstimatorState, ModelParams, failure_probability, should_publish, solve_timeout
 from idletune.cli import SETTINGS, main
+from idletune.model import _RANGES
 
 
 def run_cli(capsys, *argv):
@@ -998,9 +999,43 @@ def range_argv(command: str, name: str, value, tmp_path, how: str) -> list[str]:
     return [*argv, "--config", str(config)]
 
 
+# for each range of the library's table: a library call outside it, with the
+# name and value its error reports, and a command and setting outside it
+# too, or None where no setting has that range
+SHARED_RANGES = {
+    ">= 0": (lambda: failure_probability(ModelParams(5, 0.1, 0.5), -1.0), "timeout_s", -1.0, ("prob", "timeout")),
+    ">= 1": (lambda: ModelParams(0, 0.1, 0.5), "n_users", 0, ("bound", "users")),
+    "positive": (lambda: should_publish(EstimatorState(0, 0.5, 0.1), 0.0, 5.0), "new_timeout_s", 0.0, None),
+    "positive and finite": (lambda: ModelParams(5, float("inf"), 0.5), "beta", float("inf"), ("solve", "beta")),
+    "in [0, 1]": (lambda: ModelParams(5, 0.1, 1.5), "xi", 1.5, ("bound", "xi")),
+    "in (0, 1)": (lambda: solve_timeout(ModelParams(5, 0.1, 0.5), 1.0), "eps", 1.0, ("solve", "eps")),
+}
+
+
 class TestRanges:
     def test_every_ranged_setting_is_covered(self):
         assert set(OUT_OF_RANGE) == {name for name, (_, bounds, _) in SETTINGS.items() if bounds}
+
+    @pytest.mark.parametrize("bounds", list(_RANGES))
+    def test_the_library_and_the_flags_word_a_range_alike(self, capsys, tmp_path, bounds):
+        call, name, value, setting = SHARED_RANGES[bounds]
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name} must be {bounds}, got {value!r}"
+        if setting is not None:
+            command, name = setting
+            assert SETTINGS[name][1] == bounds
+            code, out, err = run_cli(capsys, *range_argv(command, name, value, tmp_path, "flag"))
+            assert (code, out, err) == (2, "", f"error: --{name} must be {bounds}, got {value!r}\n")
+
+    def test_a_window_too_short_for_a_finite_rate_is_named(self, capsys, tmp_path):
+        # 2 requests at one instant in a window of 1e-320 s overflow the
+        # per-user rate; the error is about the window, not the estimates
+        log = tmp_path / "two.jsonl"
+        log.write_text('{"ts": 5.0, "kind": "bind"}\n{"ts": 5.0, "kind": "request"}\n')
+        code, out, err = run_cli(capsys, "tune", str(log), "--users", "150", "--window", "1e-320")
+        assert (code, out) == (2, "")
+        assert err == "error: window length 1e-320 s is too short for a finite per-user request rate\n"
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from idletune import (
     simulate_failure_prob,
     solve_timeout,
     solve_timeout_exact,
-    solve_timeout_large_n,
     state_probability,
 )
 from oracles import bound_ref, failure_prob_ref, state_prob_ref
@@ -217,6 +216,12 @@ class TestSolveTimeoutExact:
         with pytest.raises(ValueError):
             solve_timeout_exact(POOL_N150, 1.5)
 
+    def test_eps_one_is_rejected_by_every_inversion(self):
+        # eps 1 would be met by a timeout of 0, which no solution may hold
+        for solve in (solve_timeout_exact, lambda params, eps: solve_timeout(params, eps, "large-n")):
+            with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\), got 1\.0$"):
+                solve(POOL_N150, 1.0)
+
     @given(
         valid_params,
         st.floats(min_value=1e-6, max_value=1.0 - 1e-6, exclude_max=True),
@@ -235,24 +240,21 @@ class TestSolveTimeoutExact:
 
 class TestSolveTimeoutLargeN:
     def test_n10k_point(self):
-        assert solve_timeout_large_n(POOL_N10K, 0.1) == pytest.approx(0.0065, rel=0.03)
+        assert solve_timeout(POOL_N10K, 0.1, "large-n").timeout_s == pytest.approx(0.0065, rel=0.03)
 
     def test_n800_point(self):
-        assert solve_timeout_large_n(POOL_N800, 0.1) == pytest.approx(8.75, rel=0.01)
-
-    def test_eps_one_needs_no_wait(self):
-        assert solve_timeout_large_n(POOL_N150, 1.0) == 0.0
+        assert solve_timeout(POOL_N800, 0.1, "large-n").timeout_s == pytest.approx(8.75, rel=0.01)
 
     def test_unmarked_traffic_rejected(self):
         with pytest.raises(InfeasibleTargetError):
-            solve_timeout_large_n(ModelParams(100, 0.5, 0.0), 0.1)
+            solve_timeout(ModelParams(100, 0.5, 0.0), 0.1, "large-n")
 
     def test_target_at_or_below_floor_rejected(self):
         # the approximation cannot rescue an unattainable target either
         params = ModelParams(20, 0.1, 0.4)
         for eps in (feasibility_bound(params), 1e-9):
             with pytest.raises(InfeasibleTargetError) as err:
-                solve_timeout_large_n(params, eps)
+                solve_timeout(params, eps, "large-n")
             assert err.value.bound == feasibility_bound(params)
 
 
@@ -272,14 +274,17 @@ class TestSolveTimeout:
     def test_forced_exact_agrees_at_scale(self):
         forced = solve_timeout(POOL_N10K, 0.1, "exact")
         assert forced.expression == "exact"
-        approx = solve_timeout_large_n(POOL_N10K, 0.1)
+        approx = solve_timeout(POOL_N10K, 0.1, "large-n").timeout_s
         assert abs(forced.timeout_s - approx) / forced.timeout_s < 0.01
 
     def test_each_label_solves_with_its_own_inversion(self):
         # the two inversions differ by 5% at N=150, so a mislabelled one shows
-        assert solve_timeout(POOL_N150, 0.1, "exact").timeout_s == solve_timeout_exact(POOL_N150, 0.1)
-        assert solve_timeout(POOL_N150, 0.1, "large-n").timeout_s == solve_timeout_large_n(POOL_N150, 0.1)
-        assert solve_timeout_exact(POOL_N150, 0.1) != pytest.approx(solve_timeout_large_n(POOL_N150, 0.1), rel=0.01)
+        exact = solve_timeout(POOL_N150, 0.1, "exact").timeout_s
+        large_n = solve_timeout(POOL_N150, 0.1, "large-n").timeout_s
+        assert exact == solve_timeout_exact(POOL_N150, 0.1)
+        assert failure_probability(POOL_N150, exact) == pytest.approx(0.1, rel=1e-12)
+        assert large_n == -math.log(0.1) / (POOL_N150.beta * POOL_N150.xi * POOL_N150.n_users)
+        assert exact != pytest.approx(large_n, rel=0.01)
 
     def test_threshold_is_configurable(self):
         low = solve_timeout(POOL_N150, 0.1, large_n_threshold=100)

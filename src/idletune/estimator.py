@@ -23,6 +23,7 @@ from .errors import CannotInitializeError, InfeasibleTargetError, SinkError
 from .ingest import WindowStats
 from .model import DEFAULT_LARGE_N_THRESHOLD, ModelParams, TimeoutSolution, solve_timeout
 from .model import _check, _check_count, _pick_inversion, _solve_timeout
+from .sinks import _filled
 
 __all__ = [
     "StepSchedule",
@@ -227,26 +228,18 @@ class TunerRecord:
         w, chi, theta, xi_hat, beta_hat, timeout_s = (
             self.window_end_ts, self.chi, self.theta, self.xi_hat, self.beta_hat, self.timeout_s
         )
-        # json.dumps writes a finite float, or a float subclass's value, with
-        # float.__repr__, which takes nothing but floats; a sum is finite
-        # only if each term is.  Anything else goes to json.dumps.
         if type(self.iteration) is int and type(self.published) is bool:
-            try:
-                total = w + chi + theta + xi_hat + beta_hat + (0.0 if timeout_s is None else timeout_s)
-                if -math.inf < total < math.inf:
-                    r = float.__repr__
-                    return _RECORD_LINE % (
-                        self.iteration,
-                        r(w),
-                        r(chi),
-                        r(theta),
-                        r(xi_hat),
-                        r(beta_hat),
-                        "null" if timeout_s is None else r(timeout_s),
-                        "true" if self.published else "false",
-                    )
-            except TypeError:
-                pass
+            line = _filled(
+                _RECORD_LINE,
+                (
+                    self.iteration, w, chi, theta, xi_hat, beta_hat,
+                    "null" if timeout_s is None else timeout_s,
+                    "true" if self.published else "false",
+                ),
+                (w, chi, theta, xi_hat, beta_hat, 0.0 if timeout_s is None else timeout_s),
+            )
+            if line is not None:
+                return line
         # vars(self) would give every record a __dict__ for as long as it is kept
         return json.dumps({name: getattr(self, name) for name in self.__dataclass_fields__})
 

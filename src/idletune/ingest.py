@@ -146,10 +146,29 @@ class WindowStats:
         n_users: int,
     ) -> "WindowStats":
         _check_count("n_users", n_users)
+        window = cls._of_counts(window_start_ts, window_s, n_requests, n_marked, n_users)
         # the counts are checked once, by __post_init__
-        chi = n_marked / n_requests if n_requests else 0.0
-        theta = n_requests / (n_users * window_s)
-        return cls(float(window_start_ts), float(window_s), n_requests, n_marked, chi, theta, n_requests == 0)
+        window.__post_init__()
+        return window
+
+    @classmethod
+    def _of_counts(
+        cls, window_start_ts: float, window_s: float, n_requests: int, n_marked: int, n_users: int
+    ) -> "WindowStats":
+        """:meth:`from_counts` with no check: for counts that were counted,
+        in a window of checked length, which put chi and theta in range."""
+        window = object.__new__(cls)
+        # the fields in their order, as __init__ sets them
+        vars(window).update(
+            window_start_ts=float(window_start_ts),
+            window_s=float(window_s),
+            n_requests=n_requests,
+            n_marked=n_marked,
+            chi=n_marked / n_requests if n_requests else 0.0,
+            theta=n_requests / (n_users * window_s),
+            zero_traffic=n_requests == 0,
+        )
+        return window
 
     @property
     def window_end_ts(self) -> float:
@@ -200,7 +219,7 @@ class _Windows:
         n_requests, n_marked = self.counts.pop(idx, (0, 0))
         self.next_emit = idx + 1
         self.close_at = self.anchor + (idx + 2) * self.window_s + self.tolerance_s
-        window = WindowStats.from_counts(
+        window = WindowStats._of_counts(
             self.anchor + idx * self.window_s, self.window_s, n_requests, n_marked, self.n_users
         )
         if window.theta == math.inf:
@@ -264,22 +283,35 @@ class _Windows:
         closed it.  Its binds are counted between the byte offsets of its
         ends.
         """
-        anchor, window_s = self.anchor, self.window_s
+        anchor, window_s, n = self.anchor, self.window_s, len(ts)
 
         def key(t: float) -> float:
             return (t - anchor) // window_s
 
+        def cut(idx: int, lo: int) -> int:
+            # the first line from ``lo`` on whose key passes ``idx``.  A
+            # bisect on window idx's end as a float lands on it, or beside
+            # it where the rounding of that end and of the key disagree; the
+            # keys either side of the guess tell which, and a keyed bisect
+            # over the side that holds the line then finds it
+            end = bisect.bisect_left(ts, anchor + (idx + 1) * window_s, lo)
+            if end > lo and key(ts[end - 1]) > idx:
+                return bisect.bisect_left(ts, idx + 1, lo, end - 1, key=key)
+            if end < n and key(ts[end]) <= idx:
+                return bisect.bisect_left(ts, idx + 1, end + 1, key=key)
+            return end
+
         def start_of(line: int, after: int) -> int:
             # the byte offset of a line whose timestamp differs from that of
             # every line before it from byte ``after`` on; '{' opens lines only
-            if line == len(ts):
+            if line == n:
                 return len(block)
             return block.index(b'{"ts": ' + ts_text[line] + b",", after)
 
         i = off = 0  # the first line not yet counted, and its byte offset
         while self.close_at <= ts[-1]:
             close_at, idx = self.close_at, self.next_emit
-            end = bisect.bisect_left(ts, idx + 1, i, key=key)
+            end = cut(idx, i)
             if end >= 2 and ts[end - 2] >= close_at:
                 # a line before end - 1 closed the window: the lines after it
                 # that round into the window are clamped past it
@@ -293,9 +325,9 @@ class _Windows:
                 i, off = end, end_off
             yield self.emit()
         # the lines left fall in the open windows by their keys
-        while i < len(ts):
+        while i < n:
             idx = max(int(key(ts[i])), self.next_emit)
-            end = bisect.bisect_left(ts, idx + 1, i, key=key)
+            end = cut(idx, i)
             end_off = start_of(end, off)
             self.add(idx, end - i, block.count(b'"bind"', off, end_off))
             i, off = end, end_off

@@ -4,6 +4,10 @@ Every sink exposes ``publish(timeout_s, meta)`` and converts delivery
 problems into :class:`SinkError` so the tuning loop can log them and keep
 going.  Delivery is at-most-once; there are no retries, because the next
 window publishes a fresh value anyway.
+
+The stdout, file and webhook sinks write the same payload, byte for byte
+what ``json.dumps`` writes; a NaN or infinite value in it is not JSON, so
+it fails the publish.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import urllib.parse
 from typing import IO, Mapping
 
 from .errors import SinkError
+from .model import _EXPRESSIONS
 
 __all__ = [
     "StdoutSink",
@@ -31,11 +36,55 @@ WEBHOOK_TIMEOUT_S = 10.0
 MAX_IDLETIMEOUT_S = 2**31 - 1
 
 
+# the meta run_tuner publishes, in its order, and its publish line as
+# json.dumps writes it when the floats are finite
+_META_KEYS = ("iteration", "window_end_ts", "xi_hat", "beta_hat", "target_eps", "expression")
+_PUBLISH_LINE = (
+    '{"event": "publish", "timeout_s": %s, "iteration": %d, "window_end_ts": %s, '
+    '"xi_hat": %s, "beta_hat": %s, "target_eps": %s, "expression": "%s"}'
+)
+
+
 def _payload(timeout_s: float, meta: Mapping[str, object] | None) -> dict:
     record: dict = {"event": "publish", "timeout_s": timeout_s}
     if meta:
         record.update(meta)
     return record
+
+
+def _filled(template: str, values: tuple, floats: tuple) -> str | None:
+    """``template % values``, or None unless each of ``floats`` is a finite float.
+
+    ``floats`` are the floats among ``values``, which ``template`` spells
+    ``%s``: that writes a float, and not a subclass of it, with
+    float.__repr__, as json.dumps does.  The caller vouches for the rest.
+    """
+    for x in floats:
+        if type(x) is not float:
+            return None
+    # a sum of floats is finite only if each term is
+    if -math.inf < sum(floats) < math.inf:
+        return template % values
+    return None
+
+
+def _publish_line(timeout_s: float, meta: Mapping[str, object] | None) -> str:
+    """The payload as one JSON object, byte for byte what ``json.dumps`` writes;
+    SinkError if it holds a float JSON cannot spell (NaN or infinite)."""
+    if meta is not None and tuple(meta) == _META_KEYS:
+        iteration, window_end_ts, xi_hat, beta_hat, target_eps, expression = meta.values()
+        if type(iteration) is int and type(expression) is str and expression in _EXPRESSIONS:
+            line = _filled(
+                _PUBLISH_LINE,
+                (timeout_s, iteration, window_end_ts, xi_hat, beta_hat, target_eps, expression),
+                (timeout_s, window_end_ts, xi_hat, beta_hat, target_eps),
+            )
+            if line is not None:
+                return line
+    try:
+        return json.dumps(_payload(timeout_s, meta), allow_nan=False)
+    except ValueError as exc:
+        raise SinkError(f"publish payload is not JSON: {exc}") from exc
 
 
 class StdoutSink:
@@ -50,9 +99,10 @@ class StdoutSink:
         self._stream = stream
 
     def publish(self, timeout_s: float, meta: Mapping[str, object] | None = None) -> None:
+        line = _publish_line(timeout_s, meta)
         stream = self._stream if self._stream is not None else sys.stdout
         try:
-            stream.write(json.dumps(_payload(timeout_s, meta)) + "\n")
+            stream.write(line + "\n")
         except BrokenPipeError:
             raise
         except OSError as exc:
@@ -66,9 +116,10 @@ class FileSink:
         self.path = path
 
     def publish(self, timeout_s: float, meta: Mapping[str, object] | None = None) -> None:
+        line = _publish_line(timeout_s, meta)
         try:
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(_payload(timeout_s, meta)) + "\n")
+                handle.write(line + "\n")
         except OSError as exc:
             raise SinkError(f"file sink {self.path!r}: {exc}") from exc
 
@@ -126,7 +177,7 @@ class WebhookSink:
         # which the other sinks do not need
         import urllib.request
 
-        body = json.dumps(_payload(timeout_s, meta)).encode("utf-8")
+        body = _publish_line(timeout_s, meta).encode("utf-8")
         request = urllib.request.Request(
             self.url, data=body, headers={"Content-Type": "application/json"}
         )

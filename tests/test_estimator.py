@@ -557,6 +557,11 @@ class TestRecordEncoding:
         assert record.to_json() == self.dumps(record)
         assert record.to_json().startswith('{"iteration": 3, "window_end_ts": ' + json.dumps(value) + ",")
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_timeout_that_is_not_finite(self, value):
+        record = TunerRecord(3, 1200.0, 0.5, 0.01, 0.5, 0.01, value, True)
+        assert record.to_json() == self.dumps(record)
+
     def test_finite_floats_whose_sum_overflows(self):
         big = 1.7976931348623157e308
         record = TunerRecord(1, big, 0.5, big, 0.5, big, big, True)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 from unittest import mock
 
 import pytest
@@ -291,8 +292,134 @@ class TestCanonicalFastPath:
             got[-1], expected[-1] = got[-1][:2], expected[-1][:2]
         assert got == expected
 
+    @given(
+        st.data(),
+        st.sampled_from([0.1, 1 / 3, 1e-3]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([64, 1 << 16]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cuts_at_window_edges_match_windowize(self, data, window_s, tolerance_s, block_size):
+        # in order, so every block is counted as columns: timestamps on
+        # window edges anchor + k*window_s and one ulp either side of them,
+        # where the float edge and the window key can disagree
+        anchor = data.draw(st.sampled_from([0.0, 0.7, 2.9, 1e4 / 3, 1e6 + 0.1]))
+        ks = data.draw(st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=80))
+        ts = [anchor]
+        for k in sorted(ks):
+            edge = anchor + k * window_s
+            ts.append(data.draw(st.sampled_from([math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)])))
+        ts = [anchor] + sorted(max(t, anchor) for t in ts[1:])
+        binds = data.draw(st.lists(st.booleans(), min_size=len(ts), max_size=len(ts)))
+        lines = [format_event(t, is_bind) + "\n" for t, is_bind in zip(ts, binds)]
+        expected = list(windowize(read_events(lines), window_s, 25, tolerance_s=tolerance_s))
+        with counting_parse_event() as slow, mock.patch.object(ingest, "_BLOCK_SIZE", block_size):
+            got = list(read_windows("".join(lines).encode(), window_s, tolerance_s=tolerance_s))
+        assert slow == []
+        assert got == expected
+
+    @pytest.mark.parametrize("window_s", [0.1, 1 / 3, 1e-3])
+    @pytest.mark.parametrize("anchor", [0.0, 0.7, 2.9, 1e6 + 0.1])
+    @pytest.mark.parametrize("tolerance_s", [0.0, 1.0])
+    def test_every_edge_and_its_neighbours(self, window_s, anchor, tolerance_s):
+        # the float edge can fall on either side of the first line its key
+        # puts past the window: 2.9 is past 0.7 + 22 * 0.1 by its key, but
+        # below that sum
+        assert (2.9 - 0.7) // 0.1 == 22 and 2.9 < 0.7 + 22 * 0.1
+        ts = sorted(
+            {t for k in range(300) for t in (math.nextafter(anchor + k * window_s, -math.inf),
+                                             anchor + k * window_s,
+                                             math.nextafter(anchor + k * window_s, math.inf)) if t >= anchor}
+        )
+        lines = [format_event(t, n % 2 == 0) for n, t in enumerate(ts)]
+        expected = list(windowize(read_events(lines), window_s, 25, tolerance_s=tolerance_s))
+        with counting_parse_event() as slow:
+            got = list(read_windows("".join(line + "\n" for line in lines).encode(), window_s, tolerance_s=tolerance_s))
+        assert slow == []
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "anchor,edge,idx",
+        [
+            # 0.5 is the float end of window 4 of 0.1 s from 0, but its key
+            # puts it in window 4
+            (0.0, 0.5, 4),
+            # 2.9 is below the float start of window 22 of 0.1 s from 0.7,
+            # but its key puts it in window 22
+            (0.7, 2.9, 22),
+        ],
+    )
+    @pytest.mark.parametrize("block_size", [1 << 16, 1 << 22])
+    @pytest.mark.parametrize("tolerance_s", [0.0, 1.0])
+    def test_a_long_run_of_equal_timestamps_on_an_edge(self, anchor, edge, idx, block_size, tolerance_s):
+        # each cut must find the run's ends by bisection, in one block or
+        # across many, as the run's window closes or while it is open
+        window_s = 0.1
+        assert (edge - anchor) // window_s == idx
+        assert not anchor + idx * window_s <= edge < anchor + (idx + 1) * window_s
+        lines = [format_event(anchor, False)] + [format_event(edge, n % 3 == 0) for n in range(50_000)]
+        lines.append(format_event(anchor + 3.0, True))
+        log = "".join(line + "\n" for line in lines).encode()
+        start = time.perf_counter()
+        with counting_parse_event() as slow, mock.patch.object(ingest, "_BLOCK_SIZE", block_size):
+            got = list(read_windows(log, window_s, tolerance_s=tolerance_s))
+        elapsed = time.perf_counter() - start
+        assert slow == []
+        assert got == list(windowize(read_events(lines), window_s, 25, tolerance_s=tolerance_s))
+        # in its key's window, or from the line that closes that window on,
+        # clamped into the next
+        run = got[idx : idx + 2]
+        assert (sum(w.n_requests for w in run), sum(w.n_marked for w in run)) == (50_000, 16_667)
+        assert elapsed < 0.5
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=40.0), st.booleans(), st.sampled_from(["canonical", "compact"])),
+            min_size=2,
+            max_size=60,
+        ),
+        st.sampled_from([0.3, 1.1, 7, 600.0]),
+        st.sampled_from([0.0, 1.0]),
+        st.integers(min_value=1, max_value=400),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_window_is_what_from_counts_makes(self, records, window_s, tolerance_s, gap):
+        # sorted, with a gap of at least ``gap`` windows between the halves,
+        # so ``gap - 1`` empty windows or more; counted as columns or, where
+        # a line is compact, line by line
+        records.sort()
+        half = len(records) // 2
+        records[half:] = [(ts + 41 + gap * window_s, is_bind, form) for ts, is_bind, form in records[half:]]
+        lines = [
+            format_event(ts, is_bind) if form == "canonical"
+            else json.dumps({"ts": ts, "kind": "bind" if is_bind else "request"}, separators=(",", ":"))
+            for ts, is_bind, form in records
+        ]
+        windows = list(read_windows("\n".join(lines).encode(), window_s, tolerance_s=tolerance_s))
+        assert sum(window.zero_traffic for window in windows) >= gap - 1
+        for window in windows:
+            expected = WindowStats.from_counts(
+                window.window_start_ts, window_s, window.n_requests, window.n_marked, 25
+            )
+            assert [(type(value), repr(value)) for value in vars(window).values()] == [
+                (type(value), repr(value)) for value in vars(expected).values()
+            ]
+            assert list(vars(window)) == list(WindowStats.__dataclass_fields__)
+
 
 class TestWindowStats:
+    @pytest.mark.parametrize(
+        "counts,line",
+        [
+            ((0, 0), '"n_requests": 0, "n_marked": 0, "chi": 0.0, "theta": 0.0, "zero_traffic": true}'),
+            ((4, 1), '"n_requests": 4, "n_marked": 1, "chi": 0.25, "theta": 0.08, "zero_traffic": false}'),
+        ],
+    )
+    def test_from_counts_gives_float_rates(self, counts, line):
+        # as the --windows-out sidecar writes them, for an empty window too
+        stats = WindowStats.from_counts(0, 10, *counts, 5)
+        assert stats.to_json() == '{"window_start_ts": 0.0, "window_s": 10.0, ' + line
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             WindowStats(0.0, 600.0, 1, 2, 1.0, 0.1, False)
@@ -355,6 +482,15 @@ class TestWindowize:
 
     def test_empty_stream_yields_nothing(self):
         assert list(windowize([], 600.0, 10)) == []
+
+    def test_integer_timestamps_and_length_give_float_fields(self):
+        # as from_counts gives them
+        windows = list(windowize([(3, True), (4, False), (1500, False)], 600, 25))
+        expected = [WindowStats.from_counts(3 + 600 * k, 600, n, m, 25) for k, n, m in [(0, 2, 1), (1, 0, 0), (2, 1, 0)]]
+        assert [[(type(v), v) for v in vars(window).values()] for window in windows] == [
+            [(type(v), v) for v in vars(window).values()] for window in expected
+        ]
+        assert type(windows[0].window_start_ts) is type(windows[0].window_s) is float
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

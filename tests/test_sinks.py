@@ -5,9 +5,11 @@ import math
 import threading
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from idletune import FileSink, LdifSink, SinkError, StdoutSink, WebhookSink, make_sink
+from idletune import sinks
 
 
 class TestStdoutSink:
@@ -174,3 +176,150 @@ class TestMakeSink:
     def test_rejects_unknown_descriptors(self, descriptor):
         with pytest.raises(ValueError):
             make_sink(descriptor)
+
+
+def _publish_via(kind: str, tmp_path, timeout_s, meta) -> str:
+    """What one publish of ``kind`` writes: the stdout or file line, or the
+    webhook body, without its newline."""
+    if kind == "stdout":
+        stream = io.StringIO()
+        StdoutSink(stream).publish(timeout_s, meta)
+        text = stream.getvalue()
+    elif kind == "file":
+        path = tmp_path / "publishes.jsonl"
+        FileSink(str(path)).publish(timeout_s, meta)
+        text = path.read_text(encoding="utf-8")
+    else:
+        response = mock.MagicMock(status=204)
+        response.__enter__.return_value = response
+        with mock.patch("urllib.request.urlopen", return_value=response) as urlopen:
+            WebhookSink("http://127.0.0.1:9/hook").publish(timeout_s, meta)
+        return urlopen.call_args.args[0].data.decode("utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    return text[:-1]
+
+
+# the meta run_tuner publishes, its keys in its order
+RUN_TUNER_META = {
+    "iteration": 17,
+    "window_end_ts": 12000.5,
+    "xi_hat": 0.1338,
+    "beta_hat": 0.00139,
+    "target_eps": 0.1,
+    "expression": "exact",
+}
+
+
+class _Label(str):
+    """Equal to a label, but str() of it is not its text."""
+
+    def __str__(self):
+        return "not a label"
+
+
+class _Float(float):
+    """A float whose own repr and str are not float.__repr__."""
+
+    def __repr__(self):
+        return "not a float"
+
+    __str__ = __repr__
+
+
+SINK_KINDS = ["stdout", "file", "webhook"]
+
+
+class TestPublishLine:
+    """Every sink but ldif writes the payload as json.dumps writes it; most
+    lines come from a template, whose guard must send the rest to json.dumps."""
+
+    @pytest.mark.parametrize("kind", SINK_KINDS)
+    @pytest.mark.parametrize(
+        "timeout_s,meta",
+        [
+            pytest.param(61.25, None, id="no-meta"),
+            pytest.param(61.25, {}, id="empty-meta"),
+            pytest.param(61.25, RUN_TUNER_META, id="run-tuner-meta"),
+            pytest.param(61.25, {**RUN_TUNER_META, "expression": "large-n"}, id="large-n"),
+            pytest.param(61.25, dict(reversed(RUN_TUNER_META.items())), id="reordered"),
+            pytest.param(
+                61.25,
+                {key: RUN_TUNER_META[key] for key in ("iteration", "window_end_ts", "beta_hat", "xi_hat",
+                                                      "target_eps", "expression")},
+                id="two-floats-swapped",
+            ),
+            pytest.param(
+                61.25, {("xi" if key == "xi_hat" else key): value for key, value in RUN_TUNER_META.items()},
+                id="renamed-key",
+            ),
+            pytest.param(61.25, {**RUN_TUNER_META, "window_s": 10.0}, id="extra-key"),
+            pytest.param(61.25, {"iteration": 4}, id="one-key"),
+            pytest.param(
+                np.float64(61.25),
+                {**RUN_TUNER_META, "xi_hat": np.float64(0.1) + 0.2, "target_eps": np.float64(0.1)},
+                id="numpy-floats",
+            ),
+            pytest.param(_Float(61.25), {**RUN_TUNER_META, "beta_hat": _Float(0.00139)}, id="float-subclass"),
+            pytest.param(_Float(61.25), RUN_TUNER_META, id="float-subclass-timeout"),
+            pytest.param(60, {**RUN_TUNER_META, "window_end_ts": 12000}, id="ints-for-floats"),
+            pytest.param(61.25, {**RUN_TUNER_META, "iteration": True}, id="bool-iteration"),
+            pytest.param(61.25, {**RUN_TUNER_META, "expression": "exäct"}, id="non-ascii-label"),
+            pytest.param(61.25, {**RUN_TUNER_META, "expression": _Label("exact")}, id="label-subclass"),
+            pytest.param(
+                5e-324, {**RUN_TUNER_META, "window_end_ts": 1e16, "xi_hat": 0.1 + 0.2}, id="awkward-floats"
+            ),
+            pytest.param(
+                1e16, {**RUN_TUNER_META, "beta_hat": 5e-324, "target_eps": 0.1 + 0.2}, id="awkward-floats-2"
+            ),
+            pytest.param(
+                1.7976931348623157e308,
+                {**RUN_TUNER_META, "window_end_ts": 1.7976931348623157e308},
+                id="sum-overflows",
+            ),
+        ],
+    )
+    def test_bytes_are_json_dumps(self, kind, tmp_path, timeout_s, meta):
+        assert _publish_via(kind, tmp_path, timeout_s, meta) == json.dumps(sinks._payload(timeout_s, meta))
+
+    @pytest.mark.parametrize("kind", SINK_KINDS)
+    def test_run_tuner_meta_takes_the_template(self, kind, tmp_path):
+        with mock.patch.object(sinks.json, "dumps", side_effect=AssertionError("json.dumps called")):
+            line = _publish_via(kind, tmp_path, 61.25, RUN_TUNER_META)
+        assert line == (
+            '{"event": "publish", "timeout_s": 61.25, "iteration": 17, "window_end_ts": 12000.5, '
+            '"xi_hat": 0.1338, "beta_hat": 0.00139, "target_eps": 0.1, "expression": "exact"}'
+        )
+
+    @pytest.mark.parametrize("kind", SINK_KINDS)
+    def test_a_numpy_int_iteration_is_the_type_error_json_dumps_raises(self, kind, tmp_path):
+        meta = {**RUN_TUNER_META, "iteration": np.int64(17)}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(sinks._payload(61.25, meta))
+        with pytest.raises(TypeError) as err:
+            _publish_via(kind, tmp_path, 61.25, meta)
+        assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("kind", SINK_KINDS)
+    @pytest.mark.parametrize(
+        "timeout_s,meta",
+        [
+            pytest.param(math.nan, {"xi_hat": math.inf}, id="nan-timeout"),
+            pytest.param(math.inf, None, id="infinite-timeout"),
+            pytest.param(math.inf, RUN_TUNER_META, id="infinite-timeout-run-tuner-meta"),
+            pytest.param(61.25, {**RUN_TUNER_META, "xi_hat": math.nan}, id="nan-in-run-tuner-meta"),
+            pytest.param(61.25, {**RUN_TUNER_META, "window_end_ts": -math.inf}, id="minus-infinity"),
+            pytest.param(61.25, {"nested": [math.inf]}, id="nested"),
+        ],
+    )
+    def test_a_value_that_is_not_finite_fails_the_publish(self, kind, tmp_path, timeout_s, meta):
+        # NaN and Infinity are not JSON; nothing is written or sent
+        with mock.patch("urllib.request.urlopen") as urlopen, pytest.raises(SinkError):
+            _publish_via(kind, tmp_path, timeout_s, meta)
+        urlopen.assert_not_called()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stdout_writes_nothing_for_a_value_that_is_not_finite(self):
+        stream = io.StringIO()
+        with pytest.raises(SinkError):
+            StdoutSink(stream).publish(float("nan"), {"xi_hat": float("inf")})
+        assert stream.getvalue() == ""

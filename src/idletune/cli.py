@@ -11,9 +11,11 @@ human-readable summaries go to standard error.  Exit codes:
 
 Settings come from flags, then a JSON config file (``--config``) keyed by
 the flags' long names with underscores for dashes, then (``--seed`` only)
-the IDLETUNE_SEED environment variable, then the command's default.  Config
-values are checked like flags; an unknown key is an error, and ``--config``,
-``--verbose`` and tune's input path are flag-only.
+the IDLETUNE_SEED environment variable, then the command's default.  A
+flag's text, a config value and IDLETUNE_SEED are converted and checked by
+one function, so a mistake gets one message wherever it came from; an
+unknown key is an error, and ``--config``, ``--verbose`` and tune's input
+path are flag-only.
 
 Standard output gathers lines into large writes for every command, also
 under PYTHONUNBUFFERED, and is flushed before the command returns; ``tune``
@@ -27,6 +29,7 @@ import contextlib
 import functools
 import json
 import logging
+import math
 import os
 import stat
 import sys
@@ -61,10 +64,11 @@ REQUIRED = object()  # the default of a setting that must be given
 # Every setting once: its type (int, float, str, PATH, or a tuple of
 # choices), the range a number must lie in (a key of model._RANGES, or
 # None), and its help text, in which "{}" stands for the default.  The
-# ranges are the library's own, checked here so that a bad value is
-# reported under the flag's name.
+# ranges are the library's own, checked here, after conversion from a flag's
+# text or a config value alike, so that a bad value is reported under the
+# flag's name.
 SETTINGS: dict[str, tuple[object, str | None, str]] = {
-    "users": (int, ">= 1", "population size N"),
+    "users": (int, "in [1, 2**63 - 1]", "population size N"),
     "beta": (float, "positive and finite", "per-user request rate, 1/s"),
     "xi": (float, "in [0, 1]", "marked-request probability in [0, 1]"),
     "expression": (_EXPRESSIONS, None, "inversion to use (default {}: exact up to the threshold)"),
@@ -96,32 +100,20 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _as_int(flag: str, value) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"{flag} must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
-    raise ValueError(f"{flag} must be an integer, got {value!r}")
-
-
-def _as_float(flag: str, value) -> float:
-    if isinstance(value, bool):
-        raise ValueError(f"{flag} must be a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{flag} must be a number, got {value!r}")
+def _as_number(source: str, value, kind: type) -> int | float:
+    """``value``, a number or its text, as ``kind`` (int or float), or
+    ValueError naming ``source``.  An integer past the float range reads as
+    +-inf, as its text does."""
+    try:
+        if isinstance(value, str):
+            return int(value, 10) if kind is int else float(value)
+        if type(value) is int or type(value) is float and (kind is float or value.is_integer()):
+            return kind(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    except ValueError:
+        pass
+    raise ValueError(f"{source} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def _checked(name: str, value, source: str):
@@ -129,7 +121,7 @@ def _checked(name: str, value, source: str):
     ``source``: its flag, or the environment variable it came from."""
     kind, bounds, _ = SETTINGS[name]
     if kind in (int, float):
-        value = _as_int(source, value) if kind is int else _as_float(source, value)
+        value = _as_number(source, value, kind)
         _check(source, value, bounds)
     elif isinstance(kind, tuple):
         if value not in kind:
@@ -165,7 +157,7 @@ def _parse_schedule(text: str) -> StepSchedule:
         return StepSchedule("harmonic")
     kind, sep, arg = text.partition(":")
     if sep and arg and kind in ("power", "constant"):
-        return StepSchedule(kind, _as_float(f"--schedule {kind}:", arg))
+        return StepSchedule(kind, _as_number(f"--schedule {kind}:", arg, float))
     raise ValueError(f"schedule {text!r} is not harmonic, power:A, or constant:C")
 
 
@@ -395,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
         for name, default in settings.items():
             kind, _, text = SETTINGS[name]
+            # a flag's value stays text: _checked converts it, as it does a config value
+            choices = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
             p.add_argument(
                 _flag(name),
-                type=kind if kind in (int, float) else str,
-                choices=kind if isinstance(kind, tuple) else None,
-                metavar=PATH if kind is PATH else None,
+                metavar=PATH if kind is PATH else choices,
                 help=OWN_HELP.get((command, name), text).format(default),
             )
     return parser

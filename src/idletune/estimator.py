@@ -101,7 +101,7 @@ class EstimatorState:
     last_published_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        _check_count("iteration", self.iteration, 0)
+        _check_count("iteration", self.iteration, ">= 0")
         _check("xi_hat", self.xi_hat, "in [0, 1]")
         _check("beta_hat", self.beta_hat, ">= 0")
         if self.last_published_timeout_s is not None:
@@ -122,7 +122,7 @@ class TunerConfig:
 
     def __post_init__(self) -> None:
         _check("target_eps", self.target_eps, "in (0, 1)")
-        _check_count("n_users", self.n_users)
+        _check_count("n_users", self.n_users, "in [1, 2**63 - 1]")
         _check("publish_delta_s", self.publish_delta_s, ">= 0")
         _pick_inversion(self.expression, self.large_n_threshold, self.n_users)
 

@@ -125,8 +125,8 @@ class WindowStats:
 
     def __post_init__(self) -> None:
         _check("window_s", self.window_s, "positive and finite")
-        _check_count("n_requests", self.n_requests, 0)
-        _check_count("n_marked", self.n_marked, 0)
+        _check_count("n_requests", self.n_requests, ">= 0")
+        _check_count("n_marked", self.n_marked, ">= 0")
         if self.n_marked > self.n_requests:
             raise ValueError(
                 f"n_marked {self.n_marked} exceeds n_requests {self.n_requests}"
@@ -145,7 +145,9 @@ class WindowStats:
         n_marked: int,
         n_users: int,
     ) -> "WindowStats":
-        _check_count("n_users", n_users)
+        # theta divides by both of these, so they are checked before it is made
+        _check("window_s", window_s, "positive and finite")
+        _check_count("n_users", n_users, "in [1, 2**63 - 1]")
         window = cls._of_counts(window_start_ts, window_s, n_requests, n_marked, n_users)
         # the counts are checked once, by __post_init__
         window.__post_init__()
@@ -190,7 +192,7 @@ class _Windows:
 
     def __init__(self, window_s: float, n_users: int, tolerance_s: float) -> None:
         _check("window_s", window_s, "positive and finite")
-        _check_count("n_users", n_users)
+        _check_count("n_users", n_users, "in [1, 2**63 - 1]")
         _check("tolerance_s", tolerance_s, ">= 0")
         self.window_s = window_s
         self.n_users = n_users

@@ -39,10 +39,13 @@ _EXPRESSIONS = ("auto", "exact", "large-n")
 
 
 # each range a number is checked against, as errors word it, with its test;
-# NaN passes none.  The library and the command line's flags share it.
+# NaN passes none.  The library and the command line's flags share it.  A
+# population tops out at the largest C long, the most simulate's binomial
+# draw takes, so that no command overflows on an n_users its check admits.
 _RANGES: dict[str, Callable[[float], bool]] = {
     ">= 0": lambda x: x >= 0,
     ">= 1": lambda x: x >= 1,
+    "in [1, 2**63 - 1]": lambda x: 1 <= x <= 2**63 - 1,
     "positive": lambda x: x > 0,
     "positive and finite": lambda x: 0 < x < math.inf,
     "in [0, 1]": lambda x: 0 <= x <= 1,
@@ -56,14 +59,13 @@ def _check(name: str, value: float, bounds: str) -> None:
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
-def _check_count(name: str, value: int, least: int = 1) -> None:
-    """Raise ValueError unless ``value`` is an integer >= ``least`` (bool is not)."""
-    # a plain int skips the ABC check, which would cost EstimatorState
-    # about 0.5 us on each window
+def _check_count(name: str, value: int, bounds: str) -> None:
+    """Raise ValueError unless ``value`` is an integer (bool is not) in the
+    range ``bounds``, a key of :data:`_RANGES`."""
+    # a plain int, the usual case, skips the slower ABC check
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+    _check(name, value, bounds)
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class ModelParams:
     xi: float
 
     def __post_init__(self) -> None:
-        _check_count("n_users", self.n_users)
+        _check_count("n_users", self.n_users, "in [1, 2**63 - 1]")
         _check("beta", self.beta, "positive and finite")
         _check("xi", self.xi, "in [0, 1]")
         # normalize numpy scalars so downstream integer math is exact
@@ -217,7 +219,7 @@ def _pick_inversion(expression: str, large_n_threshold: int, n_users: int) -> st
     large-n and ``large_n_threshold`` an integer >= 1."""
     if expression not in _EXPRESSIONS:
         raise ValueError(f"expression must be auto, exact, or large-n, got {expression!r}")
-    _check_count("large_n_threshold", large_n_threshold)
+    _check_count("large_n_threshold", large_n_threshold, ">= 1")
     if expression != "auto":
         return expression
     return "exact" if n_users <= large_n_threshold else "large-n"

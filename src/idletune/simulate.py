@@ -54,8 +54,8 @@ class SimResult:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_count("trials", self.trials)
-        _check_count("failures", self.failures, 0)
+        _check_count("trials", self.trials, ">= 1")
+        _check_count("failures", self.failures, ">= 0")
         if self.failures > self.trials:
             raise ValueError(
                 f"failures {self.failures} outside [0, {self.trials}]"
@@ -84,7 +84,7 @@ def simulate_failure_prob(
     serves as an independent check of one.
     """
     _check("timeout_s", timeout_s, ">= 0")
-    _check_count("trials", trials)
+    _check_count("trials", trials, ">= 1")
     p_fire = -math.expm1(-params.beta * timeout_s)
     failures = 0
     remaining = trials
@@ -119,9 +119,9 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         ModelParams(self.n_users, self.beta, self.xi)
-        _check_count("n_processes", self.n_processes)
+        _check_count("n_processes", self.n_processes, ">= 1")
         if self.process_life is not None:
-            _check_count("process_life", self.process_life)
+            _check_count("process_life", self.process_life, ">= 1")
         _check("idle_timeout_s", self.idle_timeout_s, ">= 0")
         _check("duration_s", self.duration_s, "positive and finite")
 

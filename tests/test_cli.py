@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import idletune
 from idletune import EstimatorState, ModelParams, failure_probability, should_publish, solve_timeout
 from idletune.cli import SETTINGS, main
 from idletune.model import _RANGES
@@ -983,7 +984,15 @@ OUT_OF_RANGE = {
 }
 
 # values that no range admits, or that a positive and finite one does not
-NOT_FINITE = [("beta", "inf"), ("duration", "inf"), ("window", "inf"), ("xi", "nan"), ("timeout", "nan")]
+INF, NAN = float("inf"), float("nan")
+NOT_FINITE = [("beta", INF), ("duration", INF), ("window", INF), ("xi", NAN), ("timeout", NAN)]
+
+# for each setting of a number or choice kind: text that reads as none of its values
+MALFORMED = [
+    (name, text)
+    for name, (kind, _, _) in SETTINGS.items()
+    for text in {int: ["abc", "1.5"], float: ["abc"]}.get(kind, ["nope"] if isinstance(kind, tuple) else [])
+]
 
 
 def range_argv(command: str, name: str, value, tmp_path, how: str) -> list[str]:
@@ -995,7 +1004,7 @@ def range_argv(command: str, name: str, value, tmp_path, how: str) -> list[str]:
     if how == "flag":
         return [*argv, f"--{name.replace('_', '-')}", str(value)]
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({name: float(value) if isinstance(value, str) else value}))
+    config.write_text(json.dumps({name: value}))
     return [*argv, "--config", str(config)]
 
 
@@ -1004,7 +1013,8 @@ def range_argv(command: str, name: str, value, tmp_path, how: str) -> list[str]:
 # too, or None where no setting has that range
 SHARED_RANGES = {
     ">= 0": (lambda: failure_probability(ModelParams(5, 0.1, 0.5), -1.0), "timeout_s", -1.0, ("prob", "timeout")),
-    ">= 1": (lambda: ModelParams(0, 0.1, 0.5), "n_users", 0, ("bound", "users")),
+    ">= 1": (lambda: idletune.simulate_failure_prob(ModelParams(5, 0.1, 0.5), 1.0, 0, 0), "trials", 0, ("simulate", "trials")),
+    "in [1, 2**63 - 1]": (lambda: ModelParams(2**63, 0.1, 0.5), "n_users", 2**63, ("bound", "users")),
     "positive": (lambda: should_publish(EstimatorState(0, 0.5, 0.1), 0.0, 5.0), "new_timeout_s", 0.0, None),
     "positive and finite": (lambda: ModelParams(5, float("inf"), 0.5), "beta", float("inf"), ("solve", "beta")),
     "in [0, 1]": (lambda: ModelParams(5, 0.1, 1.5), "xi", 1.5, ("bound", "xi")),
@@ -1048,6 +1058,44 @@ class TestRanges:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: --{name.replace('_', '-')} must be "), err
+
+    @pytest.mark.parametrize("name, text", MALFORMED)
+    def test_a_malformed_value_gets_one_message_from_a_flag_or_a_file(self, capsys, tmp_path, name, text):
+        command = OUT_OF_RANGE.get(name, ("solve",))[0]
+        (tmp_path / "events.jsonl").write_text(seeded_log(3, 50))
+        flag, config = (run_cli(capsys, *range_argv(command, name, text, tmp_path, how)) for how in ("flag", "config"))
+        assert flag == config
+        code, out, err = flag
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --{name.replace('_', '-')} must be ") and err.endswith(f", got {text!r}\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["abc", "1.5", "-1"])
+    def test_a_seed_from_the_environment_is_worded_as_the_flag(self, capsys, tmp_path, monkeypatch, text):
+        argv = range_argv("simulate", "seed", text, tmp_path, "flag")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: --seed must be ")
+        monkeypatch.setenv("IDLETUNE_SEED", text)
+        assert run_cli(capsys, *argv[:-2]) == (2, "", err.replace("--seed", "IDLETUNE_SEED"))
+
+    def test_a_config_integer_past_the_float_range_reads_as_its_text_does(self, capsys, tmp_path):
+        flag = run_cli(capsys, *range_argv("solve", "beta", "1e400", tmp_path, "flag"))
+        config = run_cli(capsys, *range_argv("solve", "beta", 10**400, tmp_path, "config"))
+        assert flag == config == (2, "", "error: --beta must be positive and finite, got inf\n")
+
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_a_population_up_to_the_largest_c_long_runs_and_no_more(self, capsys, tmp_path, command):
+        (tmp_path / "events.jsonl").write_text(seeded_log(3, 50))
+
+        def argv(n_users: int) -> list[str]:
+            argv = range_argv(command, "users", n_users, tmp_path, "flag")
+            # replaces REQUIRED's 0.1, so that the simulators draw about 90 arrivals, not 10**18
+            return [*argv, "--beta", "1e-18"] if "beta" in REQUIRED[command] else argv
+
+        code, out, err = run_cli(capsys, *argv(2**63 - 1))
+        assert code == 0 and out, err
+        for n in (2**63, 10**400):
+            assert run_cli(capsys, *argv(n)) == (2, "", f"error: --users must be in [1, 2**63 - 1], got {n}\n")
 
     @pytest.mark.parametrize(
         "command, name, value",

@@ -428,6 +428,12 @@ class TestWindowStats:
         with pytest.raises(ValueError):
             WindowStats(0.0, -1.0, 0, 0, 0.0, 0.0, True)
 
+    @pytest.mark.parametrize("n_requests", [0, 1])
+    def test_from_counts_checks_the_length_before_dividing_by_it(self, n_requests):
+        with pytest.raises(ValueError) as err:
+            WindowStats.from_counts(0, 0.0, n_requests, 0, 5)
+        assert str(err.value) == "window_s must be positive and finite, got 0.0"
+
     def test_serialization_keys(self):
         stats = WindowStats.from_counts(0.0, 600.0, 1, 0, 50)
         record = json.loads(stats.to_json())

@@ -19,6 +19,7 @@ from idletune import (
     solve_timeout,
     solve_timeout_exact,
     state_probability,
+    windowize,
 )
 from oracles import bound_ref, failure_prob_ref, state_prob_ref
 
@@ -56,6 +57,26 @@ class TestModelParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+
+class TestPopulationBound:
+    # the largest C long: simulate's binomial draw takes no more
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: ModelParams(n, 1.0, 0.5),
+            lambda n: TunerConfig(target_eps=0.1, n_users=n),
+            lambda n: list(windowize([], 600.0, n)),
+            lambda n: WindowStats.from_counts(0.0, 600.0, 1, 0, n),
+        ],
+        ids=["ModelParams", "TunerConfig", "windowize", "WindowStats.from_counts"],
+    )
+    def test_every_check_of_n_users_stops_past_the_largest_c_long(self, make):
+        make(2**63 - 1)
+        for n in (2**63, 10**400):
+            with pytest.raises(ValueError) as err:
+                make(n)
+            assert str(err.value) == f"n_users must be in [1, 2**63 - 1], got {n}"
 
 
 class TestStateProbability:

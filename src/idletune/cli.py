@@ -44,8 +44,8 @@ from .errors import (
 )
 from .estimator import StepSchedule, TunerConfig, TunerRecord, run_tuner
 from .ingest import WindowStats, _read_windows, format_event
-from .model import DEFAULT_LARGE_N_THRESHOLD, ModelParams, failure_probability, feasibility_bound, solve_timeout
-from .model import _EXPRESSIONS, _check
+from .model import ModelParams, failure_probability, feasibility_bound, solve_timeout
+from .model import _EXPRESSIONS, _LARGE_N_ABOVE, _check
 from .sinks import make_sink
 
 __all__ = ["main", "entry_point"]
@@ -71,8 +71,7 @@ SETTINGS: dict[str, tuple[object, str | None, str]] = {
     "users": (int, "in [1, 2**63 - 1]", "population size N"),
     "beta": (float, "positive and finite", "per-user request rate, 1/s"),
     "xi": (float, "in [0, 1]", "marked-request probability in [0, 1]"),
-    "expression": (_EXPRESSIONS, None, "inversion to use (default {}: exact up to the threshold)"),
-    "large_n_threshold": (int, ">= 1", "population above which auto picks large-n (default {})"),
+    "expression": (_EXPRESSIONS, None, f"inversion to use (default {{}}: exact up to {_LARGE_N_ABOVE} users)"),
     "eps": (float, "in (0, 1)", "target failure probability (default {})"),
     "timeout": (float, ">= 0", "idle timeout to evaluate, seconds"),
     "trials": (int, ">= 1", "number of trials (default {})"),
@@ -98,6 +97,20 @@ OWN_HELP = {
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
+
+
+def _joined(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each setting flag that a number follows joined to it, as
+    ``--timeout=-1e-3``: argparse reads a word such as -1e-3 or -inf as a flag."""
+    flags = {_flag(name) for name in SETTINGS}
+    joined: list[str] = []
+    for word in argv:
+        joined.append(word)
+        if len(joined) > 1 and joined[-2] in flags:
+            with contextlib.suppress(ValueError):
+                float(word)
+                joined[-2:] = [f"{joined[-2]}={word}"]
+    return joined
 
 
 def _as_number(source: str, value, kind: type) -> int | float:
@@ -170,14 +183,8 @@ def _emit(record: dict) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    solution = solve_timeout(_model_params(args), args.eps, args.expression, args.large_n_threshold)
-    _emit(
-        {
-            "timeout_s": solution.timeout_s,
-            "expression": solution.expression,
-            "feasibility_bound": solution.feasibility_bound,
-        }
-    )
+    solution = solve_timeout(_model_params(args), args.eps, args.expression)
+    _emit({name: getattr(solution, name) for name in ("timeout_s", "expression", "feasibility_bound")})
     print(
         f"idle timeout {solution.timeout_s:.6g} s reaches failure probability "
         f"{args.eps:.6g} ({solution.expression} inversion; attainable floor "
@@ -229,7 +236,7 @@ def _cmd_sim_system(args: argparse.Namespace) -> int:
         n_processes=args.processes,
         idle_timeout_s=args.idle_timeout,
         duration_s=args.duration,
-        process_life=args.process_life or None,
+        process_life=args.process_life,
     )
     report = simulate_system(system, args.seed)
     sys.stdout.write(report.to_json() + "\n")
@@ -282,7 +289,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         publish_delta_s=args.delta,
         schedule=_parse_schedule(args.schedule),
         expression=args.expression,
-        large_n_threshold=args.large_n_threshold,
     )
     sink = make_sink(args.sink)
     with contextlib.ExitStack() as stack:
@@ -326,10 +332,9 @@ def _open_out(path: str | None):
 # Each command: its handler, its help, and its settings with their defaults
 # (REQUIRED where there is none) in --help order.
 _MODEL = {"users": REQUIRED, "beta": REQUIRED, "xi": REQUIRED}
-_INVERSION = {"expression": "auto", "large_n_threshold": DEFAULT_LARGE_N_THRESHOLD}
 COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, object]]] = {
     "solve": (_cmd_solve, "timeout achieving a target failure probability",
-              {**_MODEL, **_INVERSION, "eps": 0.1}),
+              {**_MODEL, "expression": "auto", "eps": 0.1}),
     "prob": (_cmd_prob, "failure probability at a given timeout", {**_MODEL, "timeout": REQUIRED}),
     "bound": (_cmd_bound, "lowest achievable failure probability", {"users": REQUIRED, "xi": REQUIRED}),
     "simulate": (_cmd_simulate, "Monte Carlo estimate of the failure probability",
@@ -340,7 +345,7 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, ob
     "gen-log": (_cmd_gen_log, "synthesize an event log with known parameters",
                 {**_MODEL, "duration": REQUIRED, "seed": 0, "out": None}),
     "tune": (_cmd_tune, "estimate parameters from an event log and publish timeouts",
-             {**_INVERSION, "users": REQUIRED, "window": 1200.0, "eps": 0.1, "delta": 5.0,
+             {"expression": "auto", "users": REQUIRED, "window": 1200.0, "eps": 0.1, "delta": 5.0,
               "schedule": "harmonic", "sink": "stdout", "windows_out": None}),
 }
 
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,

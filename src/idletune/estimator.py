@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Protocol
 
 from .errors import CannotInitializeError, InfeasibleTargetError, SinkError
 from .ingest import WindowStats
-from .model import DEFAULT_LARGE_N_THRESHOLD, ModelParams, TimeoutSolution, solve_timeout
+from .model import ModelParams, TimeoutSolution, solve_timeout
 from .model import _check, _check_count, _pick_inversion, _solve_timeout
 from .sinks import _filled
 
@@ -83,7 +83,7 @@ class StepSchedule:
 
 def step_size(schedule: StepSchedule, n: int) -> float:
     """eta_n for step index n >= 0; always in (0, 1]."""
-    _check("step index", n, ">= 0")
+    _check_count("step index", n, ">= 0")
     if schedule.kind == "harmonic":
         return 1.0 / (n + 1)
     if schedule.kind == "power":
@@ -111,20 +111,19 @@ class EstimatorState:
 @dataclass(frozen=True)
 class TunerConfig:
     """Loop parameters: target, population, publish gate, steps, and the
-    ``expression`` and ``large_n_threshold`` that :func:`solve_timeout` takes."""
+    ``expression`` that :func:`solve_timeout` takes."""
 
     target_eps: float
     n_users: int
     publish_delta_s: float = 5.0
     schedule: StepSchedule = StepSchedule.harmonic()
     expression: str = "auto"
-    large_n_threshold: int = DEFAULT_LARGE_N_THRESHOLD
 
     def __post_init__(self) -> None:
         _check("target_eps", self.target_eps, "in (0, 1)")
         _check_count("n_users", self.n_users, "in [1, 2**63 - 1]")
         _check("publish_delta_s", self.publish_delta_s, ">= 0")
-        _pick_inversion(self.expression, self.large_n_threshold, self.n_users)
+        _pick_inversion(self.expression, self.n_users)
 
 
 def init_state(first_window: WindowStats) -> EstimatorState:
@@ -176,7 +175,7 @@ def recommend(state: EstimatorState, config: TunerConfig) -> TimeoutSolution:
         )
     params = ModelParams(n_users=config.n_users, beta=state.beta_hat, xi=state.xi_hat)
     try:
-        return solve_timeout(params, config.target_eps, config.expression, config.large_n_threshold)
+        return solve_timeout(params, config.target_eps, config.expression)
     except InfeasibleTargetError as exc:
         raise InfeasibleTargetError(
             config.target_eps,
@@ -281,7 +280,7 @@ def run_tuner(
     eps, n_users, schedule, publish_delta_s = (
         config.target_eps, config.n_users, config.schedule, config.publish_delta_s
     )
-    inversion = _pick_inversion(config.expression, config.large_n_threshold, n_users)
+    inversion = _pick_inversion(config.expression, n_users)
     iteration = -1  # no estimates until the first window with traffic
     xi_hat = beta_hat = 0.0
     last_published: float | None = None

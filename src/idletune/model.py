@@ -30,12 +30,11 @@ __all__ = [
     "solve_timeout",
 ]
 
-# Above this population the large-N approximation is indistinguishable from
-# the exact inversion at operational precision, and much cheaper to explain.
-DEFAULT_LARGE_N_THRESHOLD = 500
-
-# the labels solve_timeout takes: auto picks exact up to the threshold
+# the labels solve_timeout takes.  auto picks exact up to _LARGE_N_ABOVE users:
+# above it the large-N approximation is indistinguishable from the exact
+# inversion at operational precision, and much cheaper to explain.
 _EXPRESSIONS = ("auto", "exact", "large-n")
+_LARGE_N_ABOVE = 500
 
 
 # each range a number is checked against, as errors word it, with its test;
@@ -114,13 +113,6 @@ class TimeoutSolution:
             )
 
 
-def _check_state_index(params: ModelParams, k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"state index must be an integer, got {k!r}")
-    if not 0 <= k <= params.n_users:
-        raise ValueError(f"state index {k} outside chain [0, {params.n_users}]")
-
-
 def state_probability(params: ModelParams, k: int, t: float) -> float:
     """Probability that exactly ``k`` users have fired a request in [0, t].
 
@@ -130,7 +122,9 @@ def state_probability(params: ModelParams, k: int, t: float) -> float:
     before its log so the result holds full double precision even for
     large populations.
     """
-    _check_state_index(params, k)
+    _check_count("state index", k, ">= 0")
+    if k > params.n_users:
+        raise ValueError(f"state index {k} outside chain [0, {params.n_users}]")
     _check("t", t, ">= 0")
     n = params.n_users
     p = -math.expm1(-params.beta * t)
@@ -213,35 +207,29 @@ def solve_timeout_exact(params: ModelParams, eps: float) -> float:
     return solve_timeout(params, eps, "exact").timeout_s
 
 
-def _pick_inversion(expression: str, large_n_threshold: int, n_users: int) -> str:
+def _pick_inversion(expression: str, n_users: int) -> str:
     """The inversion, "exact" or "large-n", that ``expression`` picks for
     ``n_users`` users; ValueError unless ``expression`` is auto, exact or
-    large-n and ``large_n_threshold`` an integer >= 1."""
+    large-n."""
     if expression not in _EXPRESSIONS:
         raise ValueError(f"expression must be auto, exact, or large-n, got {expression!r}")
-    _check_count("large_n_threshold", large_n_threshold, ">= 1")
     if expression != "auto":
         return expression
-    return "exact" if n_users <= large_n_threshold else "large-n"
+    return "exact" if n_users <= _LARGE_N_ABOVE else "large-n"
 
 
-def solve_timeout(
-    params: ModelParams,
-    eps: float,
-    expression: str = "auto",
-    large_n_threshold: int = DEFAULT_LARGE_N_THRESHOLD,
-) -> TimeoutSolution:
+def solve_timeout(params: ModelParams, eps: float, expression: str = "auto") -> TimeoutSolution:
     """Solve for the idle timeout with the inversion ``expression`` names.
 
     "exact" and "large-n" force that inversion; "auto" takes the exact one
-    up to ``large_n_threshold`` users and the large-N form above it,
+    up to 500 users and the large-N form above it,
     ``t = -log(eps) / (beta * xi * n_users)``, the exact one's first-order series.
     Records which expression produced the result and the feasibility bound
     for the inputs.  Infeasible targets raise regardless of the expression
     selected: the approximation cannot rescue an unattainable target.
     """
     _check("eps", eps, "in (0, 1)")
-    expression = _pick_inversion(expression, large_n_threshold, params.n_users)
+    expression = _pick_inversion(expression, params.n_users)
     timeout_s, bound = _solve_timeout(params.n_users, params.beta, params.xi, eps, expression)
     if timeout_s is None:
         raise InfeasibleTargetError(eps, bound)

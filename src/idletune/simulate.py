@@ -36,9 +36,7 @@ _EVENT_CHUNK = 1 << 12
 
 def _streams(seed: int, n: int) -> Iterator[np.random.Generator]:
     """``n`` independent PCG64 generators spawned from ``SeedSequence(seed)``."""
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    _check("seed", seed, ">= 0")
+    _check_count("seed", seed, ">= 0")
     children = np.random.SeedSequence(seed).spawn(n)
     return (np.random.Generator(np.random.PCG64(child)) for child in children)
 
@@ -56,10 +54,14 @@ class SimResult:
     def __post_init__(self) -> None:
         _check_count("trials", self.trials, ">= 1")
         _check_count("failures", self.failures, ">= 0")
+        _check_count("seed", self.seed, ">= 0")
         if self.failures > self.trials:
             raise ValueError(
                 f"failures {self.failures} outside [0, {self.trials}]"
             )
+        # normalize numpy integers so that to_json can write them
+        for name in ("trials", "failures", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @classmethod
     def from_counts(cls, trials: int, failures: int, seed: int) -> "SimResult":
@@ -104,7 +106,7 @@ class SystemConfig:
     rate beta; a request is marked with probability xi and then uses the
     connection owned by a uniformly chosen pooled process.  process_life
     is the request count after which a process respawns with a fresh
-    connection; None means processes never respawn.  idle_timeout_s 0
+    connection; 0 means processes never respawn.  idle_timeout_s 0
     encodes "never drop", following the directory server's convention.
     n_users, beta and xi are checked as :class:`ModelParams` checks them.
     """
@@ -115,13 +117,12 @@ class SystemConfig:
     n_processes: int
     idle_timeout_s: float
     duration_s: float
-    process_life: int | None = None
+    process_life: int = 0
 
     def __post_init__(self) -> None:
         ModelParams(self.n_users, self.beta, self.xi)
         _check_count("n_processes", self.n_processes, ">= 1")
-        if self.process_life is not None:
-            _check_count("process_life", self.process_life, ">= 1")
+        _check_count("process_life", self.process_life, ">= 0")
         _check("idle_timeout_s", self.idle_timeout_s, ">= 0")
         _check("duration_s", self.duration_s, "positive and finite")
 
@@ -188,6 +189,7 @@ def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
     marked_requests = 0
     failed_binds = 0
     drops_enabled = config.idle_timeout_s > 0.0
+    process_life = config.process_life  # 0: processes never respawn
 
     for times in _arrival_batches(rng_arrivals, config.n_users * config.beta, config.duration_s):
         n = len(times)
@@ -204,7 +206,7 @@ def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
                     failed_binds += 1
                 last_use[proc] = t
             served[proc] += 1
-            if config.process_life is not None and served[proc] >= config.process_life:
+            if process_life and served[proc] >= process_life:
                 served[proc] = 0
                 last_use[proc] = t
 
@@ -218,7 +220,7 @@ def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
         idle_gap_min_s=min(gaps) if gaps else None,
         idle_gap_median_s=statistics.median(gaps) if gaps else None,
         idle_gap_max_s=max(gaps) if gaps else None,
-        seed=seed,
+        seed=int(seed),  # a numpy integer would stop to_json
     )
 
 

@@ -96,6 +96,19 @@ class TestSolve:
         (record,) = stdout_records(out)
         assert record["feasibility_bound"] == pytest.approx(4.37e-10, rel=0.01)
 
+    @pytest.mark.parametrize("users, expression", [("500", "exact"), ("501", "large-n")])
+    def test_auto_crosses_over_above_500_users(self, capsys, users, expression):
+        code, out, _ = run_cli(capsys, "solve", "--users", users, "--beta", "1e-3", "--xi", "0.01", "--eps", "0.2")
+        assert code == 0
+        assert stdout_records(out)[0]["expression"] == expression
+
+    @pytest.mark.parametrize("command", ["solve", "tune"])
+    def test_the_crossover_is_no_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, *N150_FLAGS[:2], "--large-n-threshold", "100"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --large-n-threshold" in capsys.readouterr().err
+
     def test_forced_expression(self, capsys):
         code, out, _ = run_cli(capsys, "solve", *N150_FLAGS, "--expression", "large-n")
         assert code == 0
@@ -785,12 +798,9 @@ def seeded_log(seed: int, n_events: int) -> str:
     return "".join(lines)
 
 
-# for each command, every setting it takes, each off its default but tune's
-# expression, which is left at auto so that large_n_threshold acts
+# for each command, every setting it takes, each off its default
 EVERY_SETTING = {
-    "solve": {
-        "users": 600, "beta": 1e-3, "xi": 0.01, "expression": "exact", "large_n_threshold": 100, "eps": 0.2,
-    },
+    "solve": {"users": 600, "beta": 1e-3, "xi": 0.01, "expression": "exact", "eps": 0.2},
     "prob": {"users": 150, "beta": 1.39e-3, "xi": 0.1338, "timeout": 60.0},
     "bound": {"users": 9, "xi": 0.3},
     "simulate": {"users": 20, "beta": 0.01, "xi": 0.3, "timeout": 50.0, "trials": 2000, "seed": 5},
@@ -800,7 +810,7 @@ EVERY_SETTING = {
     },
     "gen-log": {"users": 20, "beta": 0.01, "xi": 0.3, "duration": 1000.0, "seed": 8, "out": "{dir}/log.jsonl"},
     "tune": {
-        "expression": "auto", "large_n_threshold": 10, "users": 50, "window": 300.0, "eps": 0.2, "delta": 0.5,
+        "expression": "large-n", "users": 50, "window": 300.0, "eps": 0.2, "delta": 0.5,
         "schedule": "constant:0.5", "sink": "ldif:{dir}/update.ldif", "windows_out": "{dir}/windows.jsonl",
     },
 }
@@ -893,10 +903,10 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: config file {str(config)!r} is not valid JSON: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["large-n-threshold", "verbose", "config", "input"])
+    @pytest.mark.parametrize("key", ["large_n_threshold", "large-n-threshold", "verbose", "config", "input"])
     def test_a_key_that_names_no_setting_is_a_usage_error(self, capsys, tmp_path, key):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"large_n_threshold": 100, key: 100}))
+        config.write_text(json.dumps({"eps": 0.2, key: 100}))
         code, out, err = run_cli(capsys, "solve", "--config", str(config), *N150_FLAGS)
         assert code == 2
         assert out == ""
@@ -905,7 +915,7 @@ class TestConfigFile:
     def test_a_key_of_another_command_is_accepted(self, capsys, tmp_path):
         # one file serves every command
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"large_n_threshold": 100, "sink": "stdout", "seed": 3, "out": "x.jsonl"}))
+        config.write_text(json.dumps({"expression": "large-n", "sink": "stdout", "seed": 3, "out": "x.jsonl"}))
         code, out, _ = run_cli(capsys, "solve", "--config", str(config), *N150_FLAGS)
         assert code == 0
         assert stdout_records(out)[0]["expression"] == "large-n"
@@ -970,7 +980,6 @@ OUT_OF_RANGE = {
     "users": ("bound", 0),
     "beta": ("solve", 0.0),
     "xi": ("bound", 1.5),
-    "large_n_threshold": ("solve", 0),
     "eps": ("solve", 1.0),
     "timeout": ("prob", -1.0),
     "trials": ("simulate", 0),
@@ -1037,6 +1046,29 @@ class TestRanges:
             assert SETTINGS[name][1] == bounds
             code, out, err = run_cli(capsys, *range_argv(command, name, value, tmp_path, "flag"))
             assert (code, out, err) == (2, "", f"error: --{name} must be {bounds}, got {value!r}\n")
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("timeout", "-1e-3"), ("timeout", "-inf"), ("beta", "-inf"), ("beta", "-1E+2"), ("seed", "-1e3")],
+    )
+    def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(self, capsys, tmp_path, name, text):
+        command = OUT_OF_RANGE[name][0]
+        argv = range_argv(command, name, text, tmp_path, "flag")
+        spaced = run_cli(capsys, *argv)
+        assert spaced == run_cli(capsys, *argv[:-2], f"{argv[-2]}={text}")
+        code, out, err = spaced
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --{name} must be ") and err.count("\n") == 1
+
+    def test_the_command_line_of_the_process_is_joined_too(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["idletune", "prob", "--users", "5", "--beta", "0.1", "--xi", "0.5", "--timeout", "-1e-3"])
+        assert main() == 2
+        assert capsys.readouterr().err == "error: --timeout must be >= 0, got -0.001\n"
+
+    def test_words_after_a_double_dash_are_left_alone(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "tune", "--users", "5", "--", str(tmp_path / "-1e-3"))
+        assert (code, out) == (4, "")
+        assert "-1e-3" in err
 
     def test_a_window_too_short_for_a_finite_rate_is_named(self, capsys, tmp_path):
         # 2 requests at one instant in a window of 1e-320 s overflow the

@@ -61,6 +61,14 @@ class TestStepSize:
         with pytest.raises(ValueError):
             step_size(StepSchedule.harmonic(), -1)
 
+    @pytest.mark.parametrize("index", [2.5, 2.0, True, np.float64(2.0)])
+    def test_an_index_that_is_no_integer_is_rejected(self, index):
+        with pytest.raises(ValueError, match="step index must be an integer"):
+            step_size(StepSchedule.harmonic(), index)
+
+    def test_a_numpy_integer_index_is_a_count(self):
+        assert step_size(StepSchedule.harmonic(), np.int64(3)) == 0.25
+
     @pytest.mark.parametrize("exponent", [0.5, 0.0, 1.5, None])
     def test_power_exponent_range(self, exponent):
         with pytest.raises(ValueError):
@@ -484,7 +492,6 @@ class TestRunTunerMatchesThePublicFunctions:
             publish_delta_s=[0.0, 5.0][seed - 1],
             schedule=StepSchedule(kind, float(value) if value else None),
             expression=expression,
-            large_n_threshold=150,
         )
         windows = random_windows(seed, n_users)
         for fail_every in (None, 3):

@@ -9,6 +9,7 @@ from idletune import (
     InfeasibleTargetError,
     ModelParams,
     SimResult,
+    StepSchedule,
     SystemConfig,
     TimeoutSolution,
     TunerConfig,
@@ -19,6 +20,7 @@ from idletune import (
     solve_timeout,
     solve_timeout_exact,
     state_probability,
+    step_size,
     windowize,
 )
 from oracles import bound_ref, failure_prob_ref, state_prob_ref
@@ -307,11 +309,13 @@ class TestSolveTimeout:
         assert large_n == -math.log(0.1) / (POOL_N150.beta * POOL_N150.xi * POOL_N150.n_users)
         assert exact != pytest.approx(large_n, rel=0.01)
 
-    def test_threshold_is_configurable(self):
-        low = solve_timeout(POOL_N150, 0.1, large_n_threshold=100)
-        assert low.expression == "large-n"
-        # auto keeps the exact inversion up to the threshold itself
-        assert solve_timeout(POOL_N150, 0.1, large_n_threshold=150).expression == "exact"
+    @pytest.mark.parametrize("n_users, expression", [(150, "exact"), (500, "exact"), (501, "large-n"), (700, "large-n")])
+    def test_auto_crosses_over_above_500_users(self, n_users, expression):
+        assert solve_timeout(ModelParams(n_users, 1e-3, 0.01), 0.3).expression == expression
+
+    def test_the_crossover_is_no_parameter(self):
+        with pytest.raises(TypeError):
+            solve_timeout(POOL_N150, 0.1, large_n_threshold=100)
 
     def test_infeasible_regardless_of_expression(self):
         for expression in ("auto", "exact", "large-n"):
@@ -333,10 +337,9 @@ class TestSolveTimeout:
     def test_tuner_config_checks_the_solve_arguments(self):
         with pytest.raises(ValueError, match="expression must be auto, exact, or large-n, got 'bogus'"):
             TunerConfig(target_eps=0.1, n_users=150, expression="bogus")
-        with pytest.raises(ValueError, match="large_n_threshold must be >= 1, got 0"):
-            TunerConfig(target_eps=0.1, n_users=150, large_n_threshold=0)
-        config = TunerConfig(target_eps=0.1, n_users=150, expression="large-n", large_n_threshold=100)
-        assert (config.expression, config.large_n_threshold) == ("large-n", 100)
+        with pytest.raises(TypeError):
+            TunerConfig(target_eps=0.1, n_users=150, large_n_threshold=100)
+        assert TunerConfig(target_eps=0.1, n_users=150, expression="large-n").expression == "large-n"
 
 
 class TestTimeoutSolution:
@@ -363,11 +366,19 @@ def system(**change) -> SystemConfig:
         (lambda: system(n_processes=0), "n_processes must be >= 1, got 0"),
         (lambda: system(process_life=2.5), "process_life must be an integer, got 2.5"),
         (lambda: system(process_life=True), "process_life must be an integer, got True"),
+        (lambda: system(process_life=None), "process_life must be an integer, got None"),
+        (lambda: system(process_life=-1), "process_life must be >= 0, got -1"),
         (lambda: simulate_failure_prob(POOL_N150, 1.0, 2.5, 0), "trials must be an integer, got 2.5"),
         (lambda: simulate_failure_prob(POOL_N150, 1.0, True, 0), "trials must be an integer, got True"),
         (lambda: simulate_failure_prob(POOL_N150, 1.0, 0, 0), "trials must be >= 1, got 0"),
-        (lambda: solve_timeout(POOL_N150, 0.1, large_n_threshold=2.5), "large_n_threshold must be an integer, got 2.5"),
-        (lambda: solve_timeout(POOL_N150, 0.1, large_n_threshold=0), "large_n_threshold must be >= 1, got 0"),
+        (lambda: simulate_failure_prob(POOL_N150, 1.0, 10, 2.0), "seed must be an integer, got 2.0"),
+        (lambda: simulate_failure_prob(POOL_N150, 1.0, 10, True), "seed must be an integer, got True"),
+        (lambda: simulate_failure_prob(POOL_N150, 1.0, 10, -1), "seed must be >= 0, got -1"),
+        (lambda: step_size(StepSchedule.harmonic(), 2.5), "step index must be an integer, got 2.5"),
+        (lambda: state_probability(POOL_N150, 1.5, 1.0), "state index must be an integer, got 1.5"),
+        (lambda: state_probability(POOL_N150, -1, 1.0), "state index must be >= 0, got -1"),
+        (lambda: state_probability(POOL_N150, 151, 1.0), "state index 151 outside chain [0, 150]"),
+        (lambda: step_size(StepSchedule.harmonic(), True), "step index must be an integer, got True"),
         (lambda: EstimatorState(1.5, 0.5, 0.01), "iteration must be an integer, got 1.5"),
         (lambda: EstimatorState(True, 0.5, 0.01), "iteration must be an integer, got True"),
         (lambda: EstimatorState(-1, 0.5, 0.01), "iteration must be >= 0, got -1"),
@@ -381,6 +392,7 @@ def system(**change) -> SystemConfig:
         (lambda: SimResult(2.5, 1, 0.4, 0.1, 0), "trials must be an integer, got 2.5"),
         (lambda: SimResult(10, 1.5, 0.15, 0.1, 0), "failures must be an integer, got 1.5"),
         (lambda: SimResult(10, -1, 0.0, 0.0, 0), "failures must be >= 0, got -1"),
+        (lambda: SimResult(10, 1, 0.1, 0.1, 0.5), "seed must be an integer, got 0.5"),
     ],
 )
 def test_every_count_is_checked_like_n_users(make, message):

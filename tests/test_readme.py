@@ -2,7 +2,7 @@ import re
 import shlex
 from pathlib import Path
 
-from idletune.cli import main
+from idletune.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -56,3 +56,12 @@ def test_console_examples_print_what_they_show(capsys, tmp_path, monkeypatch):
             continue
         assert_shown(argv, shown, printed)
     assert sum(argv[0] == "idletune" for argv, _ in examples) >= 8
+
+
+def test_every_flag_named_is_one_the_command_line_takes():
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions if isinstance(action.choices, dict))
+    taken = {flag for p in [parser, *commands.values()] for action in p._actions for flag in action.option_strings}
+    # pip's own flag, in the install instructions
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", TEXT)) - {"--no-build-isolation"}
+    assert named and named <= taken, sorted(named - taken)

@@ -65,6 +65,13 @@ class TestSimulateFailureProb:
         record = json.loads(result.to_json())
         assert list(record) == ["trials", "failures", "p_hat", "std_err", "seed"]
 
+    def test_numpy_integers_give_the_plain_result(self):
+        params = ModelParams(10, 0.1, 0.5)
+        plain = simulate_failure_prob(params, 1.0, 10, 3)
+        numpy = simulate_failure_prob(params, 1.0, np.int64(10), np.int64(3))
+        assert numpy.to_json() == plain.to_json()
+        assert type(numpy.trials) is type(numpy.seed) is int
+
     def test_rejects_bad_arguments(self):
         params = ModelParams(10, 0.1, 0.5)
         with pytest.raises(ValueError):
@@ -144,9 +151,21 @@ class TestSimulateSystem:
 
     def test_respawns_shorten_observed_gaps(self):
         eager = simulate_system(dataclasses.replace(MID_LOAD, process_life=1), 13)
-        never = simulate_system(dataclasses.replace(MID_LOAD, process_life=None), 13)
+        never = simulate_system(dataclasses.replace(MID_LOAD, process_life=0), 13)
         assert eager.marked_requests == never.marked_requests
         assert eager.failed_binds <= never.failed_binds
+
+    def test_process_life_0_never_respawns(self):
+        # the report the same run gave when "never" was spelled None
+        report = simulate_system(dataclasses.replace(MID_LOAD, process_life=0), 13)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "64010f245fc11ff5f64de15f06f72d611a5e55e431ff52ceed0b4c5a15efa397"
+        assert SystemConfig(40, 0.05, 0.3, n_processes=4, idle_timeout_s=10.0, duration_s=2000.0).process_life == 0
+
+    def test_a_numpy_integer_seed_gives_the_plain_report(self):
+        report = simulate_system(MID_LOAD, np.int64(13))
+        assert report.to_json() == simulate_system(MID_LOAD, 13).to_json()
+        assert type(report.seed) is int
 
     def test_gap_summary_is_ordered(self):
         report = simulate_system(MID_LOAD, 17)
@@ -163,7 +182,7 @@ class TestSimulateSystem:
             n_processes=1,
             idle_timeout_s=5.0,
             duration_s=20_000.0,
-            process_life=None,
+            process_life=0,
         )
         tight = simulate_system(base, 19)
         loose = simulate_system(dataclasses.replace(base, idle_timeout_s=30.0), 19)
@@ -217,7 +236,8 @@ class TestSimulateSystem:
             dict(beta=0.0),
             dict(xi=1.5),
             dict(n_processes=0),
-            dict(process_life=0),
+            dict(process_life=-1),
+            dict(process_life=None),
             dict(idle_timeout_s=-1.0),
             dict(duration_s=0.0),
         ],

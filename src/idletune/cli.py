@@ -45,7 +45,7 @@ from .errors import (
 from .estimator import StepSchedule, TunerConfig, TunerRecord, run_tuner
 from .ingest import WindowStats, _read_windows, format_event
 from .model import ModelParams, failure_probability, feasibility_bound, solve_timeout
-from .model import _EXPRESSIONS, _LARGE_N_ABOVE, _check
+from .model import _EXPRESSIONS, _LARGE_N_ABOVE, _check, _check_arrivals
 from .sinks import make_sink
 
 __all__ = ["main", "entry_point"]
@@ -163,6 +163,9 @@ def _resolve(args: argparse.Namespace, config: dict) -> None:
         else:
             value = default
         setattr(args, name, value)
+    if "duration" in settings:
+        # the one range over several settings, checked before gen-log opens --out
+        _check_arrivals(_flag("duration"), args.users, args.beta, args.duration)
 
 
 def _parse_schedule(text: str) -> StepSchedule:
@@ -375,8 +378,10 @@ def _load_config(path: str | None) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: each flag has one spelling, so --time is no --timeout
     parser = argparse.ArgumentParser(
         prog="idletune",
+        allow_abbrev=False,
         description="Size a directory server's idle timeout from a failure-probability target.",
         epilog=(
             "exit codes: 0 success, 2 usage, 3 infeasible target, "
@@ -385,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for command, (_, summary, settings) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         if command == "tune":
             p.add_argument("input", nargs="?", default="-", help="event-log path (default stdin)")
         p.add_argument("--config", metavar=PATH, help="JSON file supplying any flag by name")

@@ -41,6 +41,8 @@ _LARGE_N_ABOVE = 500
 # NaN passes none.  The library and the command line's flags share it.  A
 # population tops out at the largest C long, the most simulate's binomial
 # draw takes, so that no command overflows on an n_users its check admits.
+# A simulated span may expect at most 1e8 arrivals: sim-system runs that
+# many in about 15 s, with at most 1.6 GB of idle gaps at xi = 1.
 _RANGES: dict[str, Callable[[float], bool]] = {
     ">= 0": lambda x: x >= 0,
     ">= 1": lambda x: x >= 1,
@@ -49,6 +51,7 @@ _RANGES: dict[str, Callable[[float], bool]] = {
     "positive and finite": lambda x: 0 < x < math.inf,
     "in [0, 1]": lambda x: 0 <= x <= 1,
     "in (0, 1)": lambda x: 0 < x < 1,
+    "<= 1e8 expected arrivals (users * beta * duration)": lambda x: x <= 1e8,
 }
 
 
@@ -56,6 +59,12 @@ def _check(name: str, value: float, bounds: str) -> None:
     """Raise ValueError unless ``value`` lies in the range ``bounds``, a key of :data:`_RANGES`."""
     if not _RANGES[bounds](value):
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
+
+
+def _check_arrivals(name: str, n_users: int, beta: float, duration_s: float) -> None:
+    """Raise ValueError naming ``name`` unless ``n_users`` users at rate
+    ``beta`` are expected to make at most 1e8 requests in ``duration_s``."""
+    _check(name, n_users * beta * duration_s, "<= 1e8 expected arrivals (users * beta * duration)")
 
 
 def _check_count(name: str, value: int, bounds: str) -> None:

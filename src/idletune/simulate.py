@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .model import ModelParams, _check, _check_count
+from .model import ModelParams, _check, _check_arrivals, _check_count
 
 __all__ = [
     "SimResult",
@@ -108,7 +107,8 @@ class SystemConfig:
     is the request count after which a process respawns with a fresh
     connection; 0 means processes never respawn.  idle_timeout_s 0
     encodes "never drop", following the directory server's convention.
-    n_users, beta and xi are checked as :class:`ModelParams` checks them.
+    n_users, beta and xi are checked as :class:`ModelParams` checks them,
+    and the span may expect at most 1e8 arrivals.
     """
 
     n_users: int
@@ -125,6 +125,7 @@ class SystemConfig:
         _check_count("process_life", self.process_life, ">= 0")
         _check("idle_timeout_s", self.idle_timeout_s, ">= 0")
         _check("duration_s", self.duration_s, "positive and finite")
+        _check_arrivals("duration_s", self.n_users, self.beta, self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def _arrival_batches(rng: np.random.Generator, rate: float, duration_s: float) -
 
 
 def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
-    """Replay pool mechanics event by event.
+    """Replay pool mechanics request by request, over batches of arrivals.
 
     Marked requests use their process's pooled connection; a connection
     idle longer than the timeout has been dropped by the server, so that
@@ -178,17 +179,24 @@ def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
     the connection (success, failed bind, respawn) resets its idle timer,
     which makes the gap sequence independent of the timeout under a fixed
     seed: raising the timeout can only reclassify failures as successes.
+
+    Each batch is walked as arrays: a stable sort by process puts each
+    process's requests in time order; a request touches its connection
+    when it is marked or its process respawns after it; and a marked
+    request's gap runs back to the previous touch of its process, in the
+    batch or carried over from an earlier one.  The gaps are kept as
+    float64, 8 bytes each, and sorted once for the summary, whose median
+    is taken as ``statistics.median`` takes it.
     """
     rng_arrivals, rng_marks, rng_dispatch = _streams(seed, 3)
 
     # connections are established at startup, so idle timers start at t=0
-    last_use = [0.0] * config.n_processes
-    served = [0] * config.n_processes
-    gaps: list[float] = []
+    last_use = np.zeros(config.n_processes)
+    served = np.zeros(config.n_processes, dtype=np.int64)
+    # numpy's stable sort is a radix sort on keys of 16 bits or less
+    sort_key = np.min_scalar_type(config.n_processes - 1)
+    chunks: list[np.ndarray] = []
     total_requests = 0
-    marked_requests = 0
-    failed_binds = 0
-    drops_enabled = config.idle_timeout_s > 0.0
     process_life = config.process_life  # 0: processes never respawn
 
     for times in _arrival_batches(rng_arrivals, config.n_users * config.beta, config.duration_s):
@@ -196,20 +204,35 @@ def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
         total_requests += n
         marks = rng_marks.random(size=n) < config.xi
         procs = rng_dispatch.integers(0, config.n_processes, size=n)
-        # Python lists: indexing numpy arrays one element at a time is slow
-        for t, marked, proc in zip(times.tolist(), marks.tolist(), procs.tolist()):
-            if marked:
-                marked_requests += 1
-                gap = t - last_use[proc]
-                gaps.append(gap)
-                if drops_enabled and gap > config.idle_timeout_s:
-                    failed_binds += 1
-                last_use[proc] = t
-            served[proc] += 1
-            if process_life and served[proc] >= process_life:
-                served[proc] = 0
-                last_use[proc] = t
+        order = np.argsort(procs.astype(sort_key), kind="stable")
+        procs, times, marks = procs[order], times[order], marks[order]
+        touched = marks
+        if process_life:
+            # each request's count on its process: the count carried over
+            # plus its 1-based place in the process's run
+            index = np.arange(n)
+            first = _run_starts(procs)
+            count = served[procs] + index - np.maximum.accumulate(np.where(first, index, 0)) + 1
+            touched = marks | (count % process_life == 0)
+            last = np.roll(first, -1)  # a run ends where the next begins
+            served[procs[last]] = count[last] % process_life
+        at = np.flatnonzero(touched)
+        touch_times, touch_procs = times[at], procs[at]
+        # each touch's predecessor: the touch before it, or for the first
+        # touch of a process in this batch, the one carried over
+        first = _run_starts(touch_procs)
+        previous = np.empty_like(touch_times)
+        previous[1:] = touch_times[:-1]
+        previous[first] = last_use[touch_procs[first]]
+        chunks.append((touch_times - previous)[marks[at]])
+        last = np.roll(first, -1)
+        last_use[touch_procs[last]] = touch_times[last]
 
+    gaps = np.concatenate(chunks)  # _arrival_batches yields at least one batch
+    del chunks
+    gaps.sort()
+    marked_requests = len(gaps)
+    failed_binds = int(np.count_nonzero(gaps > config.idle_timeout_s)) if config.idle_timeout_s > 0.0 else 0
     no_marked = marked_requests == 0
     return SystemReport(
         total_requests=total_requests,
@@ -217,11 +240,26 @@ def simulate_system(config: SystemConfig, seed: int) -> SystemReport:
         failed_binds=failed_binds,
         failure_rate=0.0 if no_marked else failed_binds / marked_requests,
         no_marked=no_marked,
-        idle_gap_min_s=min(gaps) if gaps else None,
-        idle_gap_median_s=statistics.median(gaps) if gaps else None,
-        idle_gap_max_s=max(gaps) if gaps else None,
+        idle_gap_min_s=None if no_marked else float(gaps[0]),
+        idle_gap_median_s=None if no_marked else _median(gaps),
+        idle_gap_max_s=None if no_marked else float(gaps[-1]),
         seed=int(seed),  # a numpy integer would stop to_json
     )
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``keys`` begins."""
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
+def _median(ordered: np.ndarray) -> float:
+    """The median of a sorted nonempty array, as ``statistics.median`` takes it."""
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return (float(ordered[half - 1]) + float(ordered[half])) / 2
 
 
 def generate_event_log(params: ModelParams, duration_s: float, seed: int) -> Iterator[tuple[float, bool]]:
@@ -230,9 +268,11 @@ def generate_event_log(params: ModelParams, duration_s: float, seed: int) -> Ite
 
     Arrivals form the aggregate Poisson stream of n_users independent
     per-user streams at rate beta; each event is independently a bind with
-    probability xi.  Deterministic given the seed.
+    probability xi.  Deterministic given the seed.  The span may expect at
+    most 1e8 events.
     """
     _check("duration_s", duration_s, "positive and finite")
+    _check_arrivals("duration_s", params.n_users, params.beta, duration_s)
     rng_arrivals, rng_marks = _streams(seed, 2)
     for times in _arrival_batches(rng_arrivals, params.n_users * params.beta, duration_s):
         marks = rng_marks.random(size=len(times)) < params.xi

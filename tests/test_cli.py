@@ -1028,6 +1028,9 @@ SHARED_RANGES = {
     "positive and finite": (lambda: ModelParams(5, float("inf"), 0.5), "beta", float("inf"), ("solve", "beta")),
     "in [0, 1]": (lambda: ModelParams(5, 0.1, 1.5), "xi", 1.5, ("bound", "xi")),
     "in (0, 1)": (lambda: solve_timeout(ModelParams(5, 0.1, 0.5), 1.0), "eps", 1.0, ("solve", "eps")),
+    "<= 1e8 expected arrivals (users * beta * duration)": (
+        lambda: idletune.SystemConfig(10**9, 0.1, 0.5, 1, 0.0, 10.0), "duration_s", 1e9, None
+    ),
 }
 
 
@@ -1128,6 +1131,35 @@ class TestRanges:
         assert code == 0 and out, err
         for n in (2**63, 10**400):
             assert run_cli(capsys, *argv(n)) == (2, "", f"error: --users must be in [1, 2**63 - 1], got {n}\n")
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["sim-system", "gen-log"])
+    def test_a_run_expecting_more_than_1e8_arrivals_is_refused_before_it_starts(
+        self, capsys, tmp_path, monkeypatch, command, how
+    ):
+        def never_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(idletune.simulate, "_arrival_batches", never_run)
+        out_path = tmp_path / "out.jsonl"
+        # REQUIRED's --beta 0.1 and --duration 10: about 9.2e18 expected arrivals
+        argv = range_argv(command, "users", 2**63 - 1, tmp_path, how)
+        if command == "gen-log":
+            argv += ["--out", str(out_path)]
+        assert run_cli(capsys, *argv) == (
+            2,
+            "",
+            "error: --duration must be <= 1e8 expected arrivals (users * beta * duration), "
+            "got 9.223372036854776e+18\n",
+        )
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("text", ["3", "-1e-3"])
+    def test_a_flag_has_one_spelling(self, capsys, text):
+        with pytest.raises(SystemExit) as err:
+            main(["prob", "--users", "5", "--beta", "0.1", "--xi", "0.5", "--time", text])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --time" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, name, value",

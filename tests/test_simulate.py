@@ -2,10 +2,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idletune import simulate
 from idletune import (
     ModelParams,
     SimResult,
@@ -16,6 +21,7 @@ from idletune import (
     simulate_system,
     windowize,
 )
+from oracles import simulate_system_ref
 
 
 class TestSimulateFailureProb:
@@ -247,6 +253,65 @@ class TestSimulateSystem:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SystemConfig(**base)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        n_users=st.integers(1, 40),
+        n_processes=st.integers(1, 8),
+        process_life=st.sampled_from([0, 1, 2, 7, 50]),
+        xi=st.sampled_from([0.0, 0.3, 1.0]),
+        idle_timeout_s=st.sampled_from([0.0, 5.0]),
+        # the shortest spans often hold no arrival; the longest span up to 5 batches
+        duration_s=st.floats(1e-3, 1e4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_the_array_walk_reports_what_the_arrival_walk_does(
+        self, seed, n_users, n_processes, process_life, xi, idle_timeout_s, duration_s
+    ):
+        config = SystemConfig(n_users, 0.05, xi, n_processes, idle_timeout_s, duration_s, process_life)
+        assert simulate_system(config, seed).to_json() == simulate_system_ref(config, seed).to_json()
+
+    def test_a_million_gaps_peak_below_24_mb(self):
+        # 1,000,351 marked gaps: 8 MB as float64, 16 MB while the batches'
+        # gaps are joined
+        config = SystemConfig(1000, 1.0, 1.0, 4, 10.0, 1000.0, 50)
+        tracemalloc.start()
+        try:
+            report = simulate_system(config, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.marked_requests > 1_000_000
+        assert peak < 24e6
+
+
+class _Started(Exception):
+    pass
+
+
+def _never_run(*args):
+    raise _Started
+
+
+class TestArrivalCap:
+    # 2**63 - 1 users at 0.1/s for 10 s: about 9.2e18 expected arrivals
+    def test_a_run_expecting_more_than_1e8_arrivals_is_refused_before_it_starts(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_arrival_batches", _never_run)
+        message = re.escape("duration_s must be <= 1e8 expected arrivals (users * beta * duration), got 9.223372036854776e+18")
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(2**63 - 1, 0.1, 0.5, n_processes=1, idle_timeout_s=0.0, duration_s=10.0)
+        with pytest.raises(ValueError, match=message):
+            next(generate_event_log(ModelParams(2**63 - 1, 0.1, 0.5), 10.0, 0))
+
+    def test_1e8_expected_arrivals_may_run(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_arrival_batches", _never_run)
+        config = SystemConfig(10**8, 1.0, 0.5, n_processes=1, idle_timeout_s=0.0, duration_s=1.0)
+        with pytest.raises(_Started):
+            simulate_system(config, 0)
+        with pytest.raises(_Started):
+            next(generate_event_log(ModelParams(10**8, 1.0, 0.5), 1.0, 0))
+        with pytest.raises(ValueError, match="1e8 expected arrivals"):
+            dataclasses.replace(config, duration_s=1.000001)
 
 
 class TestGenerateEventLog:
